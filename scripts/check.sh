@@ -8,6 +8,8 @@
 #   scripts/check.sh --grid    # only the worker-pool fabric smoke
 #   scripts/check.sh --shard   # only the sharded-serving suite
 #   scripts/check.sh --net     # only the network-gateway suite
+#   scripts/check.sh --engine  # only the engine differential/round-trip
+#                              # suites, slow deep fuzz included
 #   scripts/check.sh --sanitize  # serve/shard/grid/net under REPRO_SANITIZE=1
 #
 # Exits non-zero on the first failing stage.
@@ -49,6 +51,13 @@ if [ "${1:-}" = "--net" ]; then
     echo "== net (gateway) suite =="
     python -m pytest -x -q -m net
     echo "check.sh: net suite passed"
+    exit 0
+fi
+
+if [ "${1:-}" = "--engine" ]; then
+    echo "== engine (exact Kulisch re-encode) suite =="
+    python -m pytest -x -q -m engine
+    echo "check.sh: engine suite passed"
     exit 0
 fi
 

@@ -17,19 +17,34 @@ exact accumulator value is ``sum_H limbs[H] << (BLOCK*H)``; blocks with
 no operands are skipped, so well-scaled tensors (the PTQ case: data
 concentrated around 2^0) cost only a handful of int64 matmuls.
 
-The final re-encode — the MAC's single output rounding — is exact:
-accumulator integers are compared against the codebook midpoints as
-integers (never through float64), with the repo-wide round-to-nearest,
-ties-away-from-zero rule.  When the operand exponent ranges allow it,
-the compare is a single vectorized ``searchsorted`` against int64
-midpoint units; otherwise a float64 approximation proposes a candidate
-index and an exact arbitrary-precision fix-up settles values near a
-midpoint.
+The final re-encode — the MAC's single output rounding — is exact and
+stays in int64 and float64, with the repo-wide round-to-nearest,
+ties-away-from-zero rule.  Which of two encoders runs follows from
+bounds on the inputs (the blocks present and the contraction length):
+
+* ``_encode_int64`` — when the accumulator and the midpoints fit int64
+  units of ``2^lsb``, the limbs are combined into one integer per output
+  and compared by ``searchsorted`` against the midpoints floored onto
+  the accumulator grid (a tie needs a midpoint on the grid).
+* ``_encode_window`` — otherwise the limbs are carry-normalised into
+  ``BLOCK``-bit digits, and only the magnitude's *leading window* (the
+  top nonzero digit and the next two, truncated toward zero: at least
+  ``2*BLOCK + 1`` significant bits) is compared, as an exact float64.
+  Every codebook midpoint has at most ``MID_SIG_BITS_MAX = 2*BLOCK + 1``
+  significant bits (9 for the widest registry format, Posit(8,3);
+  checked when the planes are built), so a midpoint at or above the
+  window lies on the window's grid: truncation can never cross one.
+  When the window lands exactly on a midpoint, the value is that
+  midpoint or lies beyond it away from zero, and both round away from
+  zero.  This is the software form of Deep Positron's quire-to-posit
+  rounding from the register's leading bits.
+
+Neither builds Python-int arrays; ``matmul_exact``/``dot_exact`` still
+combine the limbs into exact Python ints, as the test oracle.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +52,11 @@ import numpy as np
 from .planes import BLOCK, CodePlanes, planes_for
 
 __all__ = ["qdot", "qmatmul", "dot_exact", "matmul_exact"]
+
+_DIGIT = (1 << BLOCK) - 1
+#: digits an int64 limb can carry into above itself: |limb| < 2^63 spans
+#: at most four ``BLOCK``-bit digits
+_SPILL = 3
 
 
 def _as_code_matrix(codes, name: str) -> np.ndarray:
@@ -46,14 +66,37 @@ def _as_code_matrix(codes, name: str) -> np.ndarray:
     return arr
 
 
-def _limb_matmul(pa: CodePlanes, pb: CodePlanes,
-                 a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Blocked exact matmul: (m,k) @ (k,n) codes -> limbs.
+def _carry(limbs: np.ndarray) -> None:
+    """Carry-normalise in place: every limb below the top becomes a
+    ``BLOCK``-bit digit in ``[0, 2^BLOCK)`` and the top limb keeps the sign."""
+    for h in range(limbs.shape[0] - 1):
+        limbs[h + 1] += limbs[h] >> BLOCK
+        limbs[h] &= _DIGIT
 
-    Returns ``(limbs, is_object)`` where ``limbs[H]`` has shape (m, n) and
-    the exact value is ``sum_H limbs[H] * 2^(lsb + BLOCK*H)``.  Limbs are
-    int64 when the contraction provably cannot overflow, else Python ints
-    (object dtype) accumulated chunk-wise.
+
+def _normalised(limbs: np.ndarray, below: int = 0) -> np.ndarray:
+    """Carry-normalised copy of ``limbs`` in a wider digit array.
+
+    ``_SPILL`` digits on top absorb the carries of any int64 limbs, so the
+    top digit ends up with ``|digit| < 2^BLOCK``; ``below`` zero digits
+    underneath give a leading window room at the bottom.
+    """
+    n = limbs.shape[0]
+    digits = np.zeros((below + n + _SPILL,) + limbs.shape[1:], dtype=np.int64)
+    digits[below:below + n] = limbs
+    _carry(digits[below:])
+    return digits
+
+
+def _limb_matmul(pa: CodePlanes, pb: CodePlanes,
+                 a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Blocked exact matmul: (m,k) @ (k,n) codes -> int64 limbs.
+
+    ``limbs[H]`` has shape (m, n) and the exact value is
+    ``sum_H limbs[H] * 2^(lsb + BLOCK*H)``.  A contraction too long for
+    one int64 pass is chunked; each chunk's limbs are carry-normalised
+    before they are added up, so the sum stays in int64 for any
+    practical ``k`` (fewer than 2^47 chunks).
     """
     k = a.shape[1]
     ha_max = pa.max_block(a)
@@ -81,14 +124,12 @@ def _limb_matmul(pa: CodePlanes, pb: CodePlanes,
         return limbs
 
     if k * npairs <= safe_terms:
-        return chunk_limbs(a, b), False
-    # contraction too long for int64 limbs: chunk it and carry the partial
-    # sums as exact Python ints
-    step = max(safe_terms // max(npairs, 1), 1)
-    total = np.zeros((nlimbs, a.shape[0], b.shape[1]), dtype=object)
-    for lo in range(0, k, step):
-        total += chunk_limbs(a[:, lo:lo + step], b[lo:lo + step, :])
-    return total, True
+        return chunk_limbs(a, b)
+    step = max(safe_terms // npairs, 1)
+    total = _normalised(chunk_limbs(a[:, :step], b[:step, :]))
+    for lo in range(step, k, step):
+        total += _normalised(chunk_limbs(a[:, lo:lo + step], b[lo:lo + step, :]))
+    return total
 
 
 def _combine_int64(limbs: np.ndarray) -> np.ndarray:
@@ -100,7 +141,7 @@ def _combine_int64(limbs: np.ndarray) -> np.ndarray:
 
 
 def _combine_object(limbs: np.ndarray) -> np.ndarray:
-    """The same combine with exact Python-int elements."""
+    """The same combine with exact Python-int elements (oracle only)."""
     total = limbs[0].astype(object)
     for h in range(1, limbs.shape[0]):
         total = total + (limbs[h].astype(object) << (BLOCK * h))
@@ -108,75 +149,74 @@ def _combine_object(limbs: np.ndarray) -> np.ndarray:
 
 
 def _encode_int64(po: CodePlanes, total: np.ndarray, lsb: int) -> np.ndarray:
-    """Exact vectorized re-encode when midpoints fit int64 lsb units.
+    """Exact vectorized re-encode of int64 accumulators (``total * 2^lsb``).
 
-    ``mid * 2^-lsb`` is an integer whenever ``lsb <= -mid_den_exp`` — the
-    accumulator grid is then at least as fine as the midpoint grid — and
-    the compare is ordinary integer ``searchsorted``.
+    Midpoints are floored onto the accumulator grid,
+    ``floor(mid * 2^-lsb)``: for an integer total, ``total > mid`` iff
+    ``total > floor(mid)``, and a tie ``total == mid`` needs a midpoint on
+    the grid.  So one ``searchsorted`` plus a tie step for grid midpoints
+    is exact even when the midpoints are finer than the accumulator (INT8:
+    ``lsb = 0`` and half-integer midpoints, which no total can tie).
     """
-    up = -po.mid_den_exp - lsb
-    mid_units = np.array([n << up for n in po.mid_num], dtype=np.int64)
+    units = np.ldexp(po.mid_floats, -lsb)
+    floors = np.floor(units)
+    mid_units = floors.astype(np.int64)
     idx = np.searchsorted(mid_units, total, side="left")
-    on_mid = (idx < len(mid_units)) & (mid_units[np.minimum(idx, len(mid_units) - 1)] == total)
-    idx = idx + (on_mid & (total > 0))
-    return po.sorted_codes[idx]
+    j = np.minimum(idx, len(mid_units) - 1)
+    tie = (mid_units[j] == total) & (floors[j] == units[j])
+    return po.sorted_codes[idx + (tie & (total > 0))]
 
 
-def _above_mid(po: CodePlanes, total: int, lsb: int, i: int) -> bool:
-    """Does the exact value ``total * 2^lsb`` round above midpoint ``i``?
+def _encode_window(po: CodePlanes, limbs: np.ndarray, lsb: int) -> np.ndarray:
+    """Exact re-encode from the accumulator's leading window.
 
-    True when the value is strictly greater, or equal with the midpoint
-    positive (ties away from zero).
+    The limbs are carry-normalised to the magnitude's ``BLOCK``-bit
+    digits; the window is the leading nonzero digit and the next two,
+    truncated toward zero: the whole value or at least ``2*BLOCK + 1`` of
+    its leading bits, below ``2^(3*BLOCK)``, so an exact float64.  It
+    rounds like the value (module docstring), and a window on a midpoint
+    rounds away from zero whatever was truncated (positive: up;
+    negative: stays).
     """
-    num = po.mid_num[i]
-    shift = lsb + po.mid_den_exp
-    if shift >= 0:
-        lhs, rhs = total << shift, num
-    else:
-        lhs, rhs = total, num << (-shift)
-    return lhs > rhs or (lhs == rhs and num > 0)
-
-
-def _encode_object(po: CodePlanes, total: np.ndarray, lsb: int) -> np.ndarray:
-    """Exact re-encode for arbitrary-width accumulators.
-
-    A float64 approximation proposes an index (off by at most one step);
-    exact integer comparisons against the neighbouring midpoints settle it.
-    """
-    scale = math.ldexp(1.0, lsb)
-    approx = total.astype(np.float64) * scale
-    idx = np.searchsorted(po.mid_floats, approx, side="left").ravel()
-    flat = total.ravel()
-    nmids = len(po.mid_num)
-    for j in range(flat.size):
-        t = int(flat[j])
-        i = int(idx[j])
-        while i > 0 and not _above_mid(po, t, lsb, i - 1):
-            i -= 1
-        while i < nmids and _above_mid(po, t, lsb, i):
-            i += 1
-        idx[j] = i
-    return po.sorted_codes[idx.reshape(total.shape)]
+    shape = limbs.shape[1:]
+    digits = _normalised(limbs.reshape(limbs.shape[0], -1), below=2)
+    ndig, size = digits.shape
+    neg = digits[-1] < 0
+    digits *= np.where(neg, -1, 1)
+    _carry(digits[2:])
+    # leading nonzero digit (>= 2: a zero total reads three zero digits);
+    # digit i weighs 2^(BLOCK*(i-2)), so the window's lowest, top-2,
+    # weighs 2^(BLOCK*(top-4))
+    pos = np.arange(ndig, dtype=np.int64).reshape(ndig, 1)
+    top = (pos * (digits != 0)).max(axis=0, initial=2)
+    at = top * size + np.arange(size, dtype=np.int64)
+    flat = digits.reshape(-1)
+    window = ((flat[at] << (2 * BLOCK)) | (flat[at - size] << BLOCK)
+              | flat[at - 2 * size])
+    # signed window weights, negative ones at [ndig, 2*ndig)
+    scale = np.ldexp(1.0, (BLOCK * (pos[:, 0] - 4) + lsb).astype(np.int32))
+    scale = np.concatenate([scale, -scale])
+    vals = window.astype(np.float64) * scale[top + ndig * neg]
+    mids = po.mid_floats
+    idx = np.searchsorted(mids, vals, side="left")
+    tie = mids[np.minimum(idx, len(mids) - 1)] == vals
+    return po.sorted_codes[idx + (tie & (vals > 0))].reshape(shape)
 
 
 def _matmul_codes(pa: CodePlanes, pb: CodePlanes, po: CodePlanes,
                   a: np.ndarray, b: np.ndarray) -> np.ndarray:
     lsb = pa.pmin + pb.pmin
-    limbs, is_object = _limb_matmul(pa, pb, a, b)
-    if not is_object:
-        # |total| < 2^bound_bits in lsb units, from the blocks actually present
-        k = max(a.shape[1], 1)
-        bound_bits = (BLOCK * (pa.max_block(a) + pb.max_block(b))
-                      + pa.msig_bits + pb.msig_bits + 2 * BLOCK
-                      + k.bit_length())
-        mid_bits = (max((n.bit_length() for n in po.mid_num), default=1)
-                    + max(-po.mid_den_exp - lsb, 0))
-        if bound_bits <= 62 and mid_bits <= 62 and lsb <= -po.mid_den_exp:
-            return _encode_int64(po, _combine_int64(limbs), lsb)
-        total = _combine_object(limbs)
-    else:
-        total = _combine_object(limbs)
-    return _encode_object(po, total, lsb)
+    limbs = _limb_matmul(pa, pb, a, b)
+    # |total| < 2^bound_bits in lsb units, from the blocks actually present
+    # (limbs.shape[0] - 1 == ha_max + hb_max unless the contraction was
+    # chunked, and then the bound fails either way)
+    k = max(a.shape[1], 1)
+    bound_bits = (BLOCK * (limbs.shape[0] - 1)
+                  + pa.msig_bits + pb.msig_bits + 2 * BLOCK
+                  + k.bit_length())
+    if bound_bits <= 62 and po.mid_top - lsb <= 62:
+        return _encode_int64(po, _combine_int64(limbs), lsb)
+    return _encode_window(po, limbs, lsb)
 
 
 def qmatmul(fmt, a_codes, b_codes, fmt_b=None, out_fmt=None) -> np.ndarray:
@@ -210,8 +250,7 @@ def matmul_exact(fmt, a_codes, b_codes, fmt_b=None) -> tuple[np.ndarray, int]:
     b = _as_code_matrix(b_codes, "b_codes")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"contraction mismatch: {a.shape} @ {b.shape}")
-    limbs, _ = _limb_matmul(pa, pb, a, b)
-    return _combine_object(limbs), pa.pmin + pb.pmin
+    return _combine_object(_limb_matmul(pa, pb, a, b)), pa.pmin + pb.pmin
 
 
 def qdot(fmt, a_codes, b_codes) -> int:

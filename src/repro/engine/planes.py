@@ -25,10 +25,13 @@ split as ``texp = h*BLOCK + l``: the plane ``blocked[h][code]`` holds
 product's full shift decomposes into an in-word shift (baked into the
 operand planes) plus a whole-limb shift ``BLOCK * (h_a + h_b)``.
 
-The rounding tables (sorted values, their codes, exact integer
-midpoints) reuse the bit-LUT kernel's sorted codebook arrays
+The rounding tables (sorted values, their codes, float64 midpoints)
+reuse the bit-LUT kernel's sorted codebook arrays
 (:mod:`repro.kernels.lut`) so the engine and the quantize kernels share
-one source of truth for the codebook ordering.
+one source of truth for the codebook ordering.  The re-encode's
+exactness argument needs every midpoint to be an exact float64 with at
+most ``MID_SIG_BITS_MAX`` significant bits; that is checked here, once
+per format (the widest registry midpoints, Posit(8,3)'s, have 9).
 """
 
 from __future__ import annotations
@@ -37,12 +40,19 @@ from fractions import Fraction
 
 import numpy as np
 
-__all__ = ["BLOCK", "CodePlanes", "planes_for", "clear_planes_cache"]
+__all__ = ["BLOCK", "MID_SIG_BITS_MAX", "CodePlanes", "planes_for",
+           "clear_planes_cache"]
 
 #: whole-limb shift granularity of the blocked matmul.  16 keeps a blocked
 #: operand at <= msig_bits+16 bits, so an int64 product sum has >= 14 bits
 #: of contraction headroom for every 8-bit format (msig_bits <= 7).
 BLOCK = 16
+
+#: most significant bits a codebook midpoint may have: the re-encode's
+#: leading window (:mod:`repro.engine.kulisch`) keeps at least this many
+#: bits of the accumulator, so any midpoint at or above the window's
+#: leading digit lies on the window's grid
+MID_SIG_BITS_MAX = 2 * BLOCK + 1
 
 
 class CodePlanes:
@@ -67,9 +77,10 @@ class CodePlanes:
     sorted_values, sorted_codes:
         The kernel's sorted finite codebook and the code of each entry.
     mid_floats:
-        Exact float64 midpoints between adjacent codebook values.
-    mid_num, mid_den_exp:
-        The same midpoints as exact integers: ``mid = mid_num / 2^mid_den_exp``.
+        Exact float64 midpoints between adjacent codebook values, each
+        with at most ``MID_SIG_BITS_MAX`` significant bits (checked).
+    mid_top:
+        ``|mid| < 2^mid_top`` for every midpoint.
     """
 
     def __init__(self, fmt):
@@ -122,14 +133,21 @@ class CodePlanes:
         self.blocked = blocked
         self.block_of = np.where(finite, h, 0).astype(np.int64)
 
-        # exact integer midpoints at a common power-of-two denominator
-        mids = [Fraction(a) + Fraction(b)
-                for a, b in zip(self.sorted_values, self.sorted_values[1:])]
-        den_exp = max((m.denominator.bit_length() for m in mids), default=1)
-        # m/2 = num / 2^den_exp  (the +1 from the /2 is folded into den_exp)
-        self.mid_den_exp = den_exp
-        self.mid_num = [m.numerator << (den_exp - m.denominator.bit_length())
-                        for m in mids]
+        # the re-encode's precondition: exact, short midpoints, checked as
+        # integer ratios (m == (a + b) / 2 with power-of-two denominators)
+        values = self.sorted_values.tolist()
+        for a, b, m in zip(values, values[1:], self.mid_floats.tolist()):
+            (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
+            nm, dm = m.as_integer_ratio()
+            odd = abs(nm) // (abs(nm) & -abs(nm)) if nm else 0
+            if (2 * nm * da * db != dm * (na * db + nb * da)
+                    or odd.bit_length() > MID_SIG_BITS_MAX):
+                raise ValueError(
+                    f"{self.name}: midpoint {m!r} of {a!r} and {b!r} is not "
+                    f"an exact float64 of at most {MID_SIG_BITS_MAX} "
+                    f"significant bits")
+        # |mid| = f * 2^e with f in [0.5, 1)
+        self.mid_top = int(np.frexp(np.abs(self.mid_floats))[1].max(initial=0))
 
     # ------------------------------------------------------------------
     def decode_exact(self, code: int) -> Fraction:

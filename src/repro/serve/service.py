@@ -45,7 +45,9 @@ def execute_batch(repository: ModelRepository, key: str,
     in-process service's scheduler workers, the shard workers'
     schedulers and the serial reference all call this one function, so
     any two deployments serving the same repository state produce
-    byte-identical outputs.
+    byte-identical outputs.  Each reply is a copy of its output row, not
+    a view: a view would keep the whole batch's output alive for as long
+    as any one reply is held.
     """
     model_name, fmt, mode = key.split("|")
     net, spec = repository.resolve(model_name, fmt, mode)
@@ -56,7 +58,7 @@ def execute_batch(repository: ModelRepository, key: str,
         raise RuntimeError(
             f"spec {spec.name!r} returned {out.shape[0]} outputs "
             f"for {len(inputs_list)} requests")
-    return [out[i] for i in range(out.shape[0])]
+    return [out[i].copy() for i in range(out.shape[0])]
 
 
 class InferenceService:

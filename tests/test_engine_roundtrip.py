@@ -25,6 +25,8 @@ from repro.engine import planes_for, qdot
 from repro.formats import get_format, registered_formats
 from repro.formats.arithmetic import _round_to_code, dot, exact_value
 
+pytestmark = pytest.mark.engine
+
 ALL_FORMATS = [fmt.name for fmt in registered_formats()]
 BACKENDS = ["lut", "reference"]
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.engine import planes
-from repro.serve import ModelLoadError, ModelRepository, micro_specs
+from repro.serve import ModelLoadError, ModelRepository, execute_batch, micro_specs
 
 pytestmark = pytest.mark.serve
 
@@ -49,6 +49,17 @@ def test_concurrent_resolvers_share_one_calibration(tmp_path):
         t.join()
     assert repo.calibrations == 1
     assert all(r is results[0] for r in results)
+
+
+@pytest.mark.parametrize("mode", ["fakequant", "engine"])
+def test_execute_batch_replies_own_their_rows(tmp_path, mode):
+    """A held reply must not pin the rest of its batch's output."""
+    repo = make_repo(tmp_path)
+    inputs = micro_specs()["micro-mlp"].requests(4, seed=5)
+    replies = execute_batch(repo, repo.model_key("micro-mlp", "MERSIT(8,2)", mode),
+                            inputs)
+    assert len(replies) == 4
+    assert all(reply.base is None for reply in replies)
 
 
 @pytest.mark.parametrize("mode", ["fakequant", "engine"])
