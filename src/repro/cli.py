@@ -376,8 +376,7 @@ def _serve_gateway(service, args) -> int:
                       host=args.host if args.host is not None
                       else "127.0.0.1",
                       port=args.port if args.port is not None else 0,
-                      drain_timeout_s=args.drain_timeout,
-                      own_service=True)
+                      drain_timeout_s=args.drain_timeout)
     try:
         gateway.start()
     except RuntimeError as exc:

@@ -10,10 +10,18 @@ and per-request deadlines, and an :class:`~repro.serve.InferenceService`
 front door driving both ``fakequant`` and true-quantized ``engine``
 inference.
 
-The headline correctness property: batched results are **bit-identical**
-to serial single-sample inference, under both kernel backends and both
-PTQ modes (see :mod:`repro.serve.service` for the mechanism and
-``tests/test_serve_differential.py`` for the proof).
+Every backend is a :class:`~repro.serve.Backend`: ``submit`` returns a
+stdlib :class:`concurrent.futures.Future`, and ``infer``,
+``infer_serial``, ``ping``, ``force_respawn`` and the context manager
+are shared, so the gateway, the health supervisor, the load generator
+and the CLI drive the in-process service and the shard router alike.
+
+The headline correctness property: every serving path returns results
+**bit-identical** to serial single-sample inference, under both kernel
+backends, both PTQ modes and uniform or ``mixed(...)`` format specs
+(see :mod:`repro.serve.service` for the mechanism and
+``tests/test_serve_matrix.py`` for the proof — one matrix over the
+batched, sharded and gateway paths).
 
 Scaling out, :class:`~repro.serve.ShardRouter` fans requests across N
 worker *processes* by consistent hashing on the request key, with the
@@ -21,9 +29,7 @@ expensive read-only state (quantized weight planes, per-layer scales,
 decode-LUT tables) published once by the parent into checksummed
 shared-memory segments (:mod:`repro.serve.shm`) that workers attach
 instead of recalibrating.  The bit-identity guarantee extends across the
-process boundary — ``tests/test_shard_differential.py`` proves sharded
-results byte-equal to serial inference under every mode × backend ×
-shard-count combination.
+process boundary at 1, 2 and 4 shards.
 
 Over the network, :class:`~repro.serve.Gateway` is the hardened TCP
 front door (length-prefixed JSON frames, :mod:`repro.serve.wire`):
@@ -48,8 +54,8 @@ from .health import HealthSupervisor
 from .loadgen import LoadReport, run_closed_loop, run_open_loop
 from .metrics import ServeMetrics, merge_snapshots, percentile
 from .repository import ModelRepository, ServableSpec, micro_specs, zoo_specs
-from .scheduler import BatchPolicy, BatchingScheduler, ServeFuture
-from .service import InferenceService, execute_batch
+from .scheduler import BatchPolicy, BatchingScheduler
+from .service import Backend, InferenceService, execute_batch
 from .shard import HashRing, ShardRouter
 
 __all__ = [
@@ -60,8 +66,8 @@ __all__ = [
     "error_from_entry",
     "ServeMetrics", "percentile", "merge_snapshots",
     "ModelRepository", "ServableSpec", "zoo_specs", "micro_specs",
-    "BatchPolicy", "BatchingScheduler", "ServeFuture",
-    "InferenceService", "execute_batch",
+    "BatchPolicy", "BatchingScheduler",
+    "Backend", "InferenceService", "execute_batch",
     "HashRing", "ShardRouter",
     "Gateway", "GatewayClient", "CircuitBreaker", "BreakerBoard",
     "HealthSupervisor",

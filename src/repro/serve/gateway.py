@@ -1,8 +1,9 @@
 """Asyncio TCP front door: the shard fleet made reachable from outside.
 
 Everything below :mod:`repro.serve` so far is library-only — a client
-had to import the router to reach it.  :class:`Gateway` owns a service
-(an in-process :class:`~repro.serve.InferenceService` or a
+had to import the router to reach it.  :class:`Gateway` owns a
+:class:`~repro.serve.Backend` (an in-process
+:class:`~repro.serve.InferenceService` or a
 :class:`~repro.serve.ShardRouter` fleet) and serves it over a TCP socket
 speaking length-prefixed JSON frames (:mod:`repro.serve.wire`) with four
 ops: ``infer``, ``stats``, ``health`` and ``drain``.  The wire is
@@ -25,13 +26,12 @@ structured, bounded and testable:
   and a half-open probe re-closes it once the backend answers again
   (e.g. after the shard router's ``_revive`` respawned the worker).
 * **Health supervision** — a background probe loop
-  (:mod:`repro.serve.health`) pings each shard via the stats channel,
-  reports ``ready``/``degraded``/``draining`` through the ``health``
-  op, and escalates a persistently unreachable shard to a forced
-  respawn.
+  (:mod:`repro.serve.health`) pings each shard over its pipe, reports
+  ``ready``/``degraded``/``draining`` through the ``health`` op, and
+  escalates a persistently unreachable shard to a forced respawn.
 * **Graceful drain** — the ``drain`` op (or SIGTERM via the CLI) stops
   admissions, finishes in-flight requests, rejects new work with a
-  structured ``draining`` error, closes the service with
+  structured ``draining`` error, closes the backend with
   ``close(drain=True)`` and lets the process exit 0.
 
 Fault injection: the ``net`` scope (:mod:`repro.resilience.faults`)
@@ -58,6 +58,7 @@ import asyncio
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeoutError
 
 from ..resilience import faults
 from .breaker import BreakerBoard
@@ -77,15 +78,15 @@ DEADLINE_GRACE_S = 5.0
 
 
 class Gateway:
-    """TCP front door over one service or shard router.
+    """TCP front door over one serving backend, which it owns.
 
     Parameters
     ----------
     service:
-        An :class:`~repro.serve.InferenceService` or
-        :class:`~repro.serve.ShardRouter` (anything exposing
-        ``submit``/``stats``/``close``; ``ping``/``force_respawn``
-        unlock shard-level health escalation).
+        The :class:`~repro.serve.Backend` to serve (an
+        :class:`~repro.serve.InferenceService` or a
+        :class:`~repro.serve.ShardRouter`); draining closes it with
+        ``close(drain=True)``.
     host / port:
         Bind address; port 0 picks a free port (read it back from
         ``gateway.port`` after ``start()``).
@@ -103,17 +104,13 @@ class Gateway:
     drain_timeout_s:
         How long a drain waits for in-flight requests before failing
         the stragglers structurally.
-    own_service:
-        When true (the default), draining also closes the service
-        itself with ``close(drain=True)``.
     """
 
     def __init__(self, service, host: str = "127.0.0.1", port: int = 0, *,
                  max_inflight: int = 64, request_timeout_s: float = 120.0,
                  breaker_threshold: int = 5, breaker_cooldown_s: float = 1.0,
                  probe_interval_s: float = 0.5, probe_timeout_s: float = 2.0,
-                 escalate_after: int = 3, drain_timeout_s: float = 30.0,
-                 own_service: bool = True):
+                 escalate_after: int = 3, drain_timeout_s: float = 30.0):
         if max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
         self.service = service
@@ -122,7 +119,6 @@ class Gateway:
         self.max_inflight = max_inflight
         self.request_timeout_s = request_timeout_s
         self.drain_timeout_s = drain_timeout_s
-        self.own_service = own_service
         self.breakers = BreakerBoard(breaker_threshold, breaker_cooldown_s)
         self.supervisor = HealthSupervisor(
             service, interval_s=probe_interval_s,
@@ -212,16 +208,15 @@ class Gateway:
             # must not run on the loop thread's coroutines
             self.supervisor.stop()
             self._executor.shutdown(wait=True)
-            if self.own_service:
-                try:
-                    self._final_stats = self.service.stats()
-                    self._final_render = self.service.render_stats()
-                except Exception:  # lint: allow[broad-except] stats are best-effort on a service that may already be broken
-                    pass
-                try:
-                    self.service.close(drain=True)
-                except Exception as exc:  # lint: allow[broad-except] teardown must complete even if the service is already broken
-                    print(f"gateway: service close failed: {exc}", flush=True)
+            try:
+                self._final_stats = self.service.stats()
+                self._final_render = self.service.render_stats()
+            except Exception:  # lint: allow[broad-except] stats are best-effort on a service that may already be broken
+                pass
+            try:
+                self.service.close(drain=True)
+            except Exception as exc:  # lint: allow[broad-except] teardown must complete even if the service is already broken
+                print(f"gateway: service close failed: {exc}", flush=True)
             self._drained.set()
 
     async def _main(self) -> None:
@@ -249,11 +244,6 @@ class Gateway:
     def _begin_drain(self) -> None:
         # loop thread only
         self._draining = True
-
-    @property
-    def draining(self) -> bool:
-        """Whether the gateway has begun (or finished) draining."""
-        return self._draining
 
     # ------------------------------------------------------------------
     # counters
@@ -442,7 +432,7 @@ class Gateway:
                     result = await loop.run_in_executor(
                         self._executor, self._submit_and_wait,
                         model, inputs, fmt, mode, deadline_ms, timeout_s)
-                except TimeoutError:
+                except FutureTimeoutError:   # builtin TimeoutError only from 3.11
                     raise GatewayTimeoutError(
                         f"no service reply within {timeout_s:.1f}s "
                         f"backstop") from None

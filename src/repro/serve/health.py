@@ -3,19 +3,21 @@
 A hung shard worker fails *silently* from a client's point of view: its
 requests just never come back (until the router's deadline sweep expires
 them one by one).  The supervisor makes that failure mode active: a
-probe loop pings every shard through the stats channel on a fixed
-interval, tracks consecutive missed probes per slot, and — once a slot
-has been unreachable ``escalate_after`` times in a row — escalates to a
-forced respawn (:meth:`ShardRouter.force_respawn` SIGKILLs the worker,
-whose pipe-EOF the router's collector already knows how to revive).
-Recovery reuses the proven crash path instead of inventing a second one.
+probe loop calls the backend's :meth:`~repro.serve.Backend.ping` on a
+fixed interval, tracks consecutive missed probes per slot, and — once a
+slot has been unreachable ``escalate_after`` times in a row — escalates
+to :meth:`~repro.serve.Backend.force_respawn` (on a
+:class:`~repro.serve.ShardRouter`, a SIGKILL of the worker, whose
+pipe-EOF the router's collector already knows how to revive).  Recovery
+reuses the proven crash path instead of inventing a second one.
 
-The supervisor is service-shape-agnostic: a :class:`ShardRouter` exposes
-``ping()`` (per-slot liveness) and ``force_respawn(slot)``; an
-in-process :class:`InferenceService` has neither, so its probe degrades
-to checking the scheduler is still answering ``queue_depth()`` —
-trivially true unless the process itself is wedged, in which case no
-supervisor thread would run either.
+The supervisor drives any :class:`~repro.serve.Backend` the same way.
+A router answers one liveness bit per shard, each a ``ping`` pipe
+message the worker's main loop answers without touching its metrics, so
+a probe costs the same after a day of traffic as after a second.  An
+in-process :class:`~repro.serve.InferenceService` has no worker slots:
+its ``ping()`` is empty, so it always reads ``ready`` and nothing is
+ever respawned.
 
 :meth:`HealthSupervisor.state` summarises to ``ready`` (every probe
 healthy) or ``degraded`` (at least one slot failing probes); the gateway
@@ -32,7 +34,7 @@ __all__ = ["HealthSupervisor"]
 
 
 class HealthSupervisor:
-    """Probe loop + escalation policy over one service or shard router."""
+    """Probe loop + escalation policy over one serving backend."""
 
     def __init__(self, service, *, interval_s: float = 0.5,
                  probe_timeout_s: float = 2.0, escalate_after: int = 3):
@@ -72,17 +74,7 @@ class HealthSupervisor:
         Exposed for deterministic tests (drive the loop by hand instead
         of sleeping through intervals).
         """
-        ping = getattr(self.service, "ping", None)
-        if ping is None:
-            # in-process service: alive iff the scheduler still answers
-            try:
-                self.service.scheduler.queue_depth()
-                healthy = [True]
-            except Exception:  # lint: allow[broad-except] any probe failure means unhealthy, whatever its type
-                healthy = [False]
-        else:
-            healthy = ping(timeout=self.probe_timeout_s)
-        force = getattr(self.service, "force_respawn", None)
+        healthy = self.service.ping(timeout=self.probe_timeout_s)
         escalate: list[int] = []
         with self._lock:
             self._probes += 1
@@ -91,8 +83,7 @@ class HealthSupervisor:
                     self._misses[slot] = 0
                     continue
                 self._misses[slot] = self._misses.get(slot, 0) + 1
-                if force is not None and \
-                        self._misses[slot] >= self.escalate_after:
+                if self._misses[slot] >= self.escalate_after:
                     self._misses[slot] = 0
                     self._forced[slot] = self._forced.get(slot, 0) + 1
                     escalate.append(slot)
@@ -100,7 +91,7 @@ class HealthSupervisor:
             print(f"gateway health: shard {slot} missed "
                   f"{self.escalate_after} probes; forcing respawn",
                   flush=True)
-            force(slot)
+            self.service.force_respawn(slot)
         return healthy
 
     # -- reporting -------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Deterministic load generation against an in-process service.
+"""Deterministic load generation against any serving backend.
 
 Two standard shapes:
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .errors import DeadlineExceededError, QueueFullError, ServeError
 from .metrics import percentile
-from .service import InferenceService
+from .service import Backend
 
 __all__ = ["LoadReport", "run_closed_loop", "run_open_loop"]
 
@@ -95,7 +95,7 @@ def _record(report: LoadReport, lock: threading.Lock, outcome: str,
             report.latencies_ms.append(latency_ms)
 
 
-def run_closed_loop(service: InferenceService, model: str,
+def run_closed_loop(service: Backend, model: str,
                     fmt: str = "MERSIT(8,2)", mode: str = "fakequant", *,
                     requests: int = 64, concurrency: int = 8, seed: int = 0,
                     deadline_ms: float | None = None) -> LoadReport:
@@ -138,7 +138,7 @@ def run_closed_loop(service: InferenceService, model: str,
     return report
 
 
-def run_open_loop(service: InferenceService, model: str,
+def run_open_loop(service: Backend, model: str,
                   fmt: str = "MERSIT(8,2)", mode: str = "fakequant", *,
                   requests: int = 64, rate_rps: float = 200.0, seed: int = 0,
                   deadline_ms: float | None = None,

@@ -29,22 +29,17 @@ class ServeMetrics:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self.reset()
-
-    def reset(self) -> None:
-        """Zero every counter (keeps the instance shared references valid)."""
-        with getattr(self, "_lock", threading.Lock()):
-            self.started = time.monotonic()
-            self.submitted = 0
-            self.completed = 0
-            self.rejected = 0       # queue-full at admission
-            self.expired = 0        # deadline passed before execution
-            self.failed = 0         # structured execution failures
-            self.retried_batches = 0
-            self.latencies_ms: list[float] = []   # enqueue -> completion
-            self.wait_ms: list[float] = []        # enqueue -> batch pickup
-            self.batch_sizes: dict[int, int] = {}
-            self.queue_depths: list[int] = []
+        self.started = time.monotonic()
+        self.submitted = 0
+        self.completed = 0
+        self.rejected = 0       # queue-full at admission
+        self.expired = 0        # deadline passed before execution
+        self.failed = 0         # structured execution failures
+        self.retried_batches = 0
+        self.latencies_ms: list[float] = []   # enqueue -> completion
+        self.wait_ms: list[float] = []        # enqueue -> batch pickup
+        self.batch_sizes: dict[int, int] = {}
+        self.queue_depths: list[int] = []
 
     # ------------------------------------------------------------------
     # recording (called by scheduler / workers)

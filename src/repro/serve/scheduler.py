@@ -39,6 +39,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 from ..resilience import NumericsError, faults
@@ -48,7 +49,7 @@ from .errors import (
 )
 from .metrics import ServeMetrics
 
-__all__ = ["BatchPolicy", "ServeFuture", "BatchingScheduler"]
+__all__ = ["BatchPolicy", "BatchingScheduler", "running_future"]
 
 
 @dataclass(frozen=True)
@@ -82,43 +83,16 @@ class BatchPolicy:
             raise ValueError("max_wait_ms and retries must be >= 0")
 
 
-class ServeFuture:
-    """Completion handle for one submitted request."""
+def running_future() -> Future:
+    """A stdlib future already marked running, as every request's handle is.
 
-    def __init__(self):
-        self._event = threading.Event()
-        self._value = None
-        self._error: ServeError | None = None
-
-    def done(self) -> bool:
-        """Whether the request has completed (successfully or not)."""
-        return self._event.is_set()
-
-    @property
-    def error(self) -> ServeError | None:
-        """The structured failure, or None (only meaningful once done)."""
-        return self._error
-
-    def entry(self) -> dict | None:
-        """The structured error entry of a failed request, else None."""
-        return self._error.to_entry() if self._error is not None else None
-
-    def result(self, timeout: float | None = 30.0):
-        """Block for the outcome; returns the output or raises the error."""
-        if not self._event.wait(timeout):
-            raise TimeoutError("request did not complete in time")
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-    # scheduler-side completion -----------------------------------------
-    def _complete(self, value) -> None:
-        self._value = value
-        self._event.set()
-
-    def _fail(self, error: ServeError) -> None:
-        self._error = error
-        self._event.set()
+    A submitted request cannot be withdrawn, so its future refuses
+    ``cancel()``, and whichever thread completes it never races a
+    cancellation into :class:`~concurrent.futures.InvalidStateError`.
+    """
+    fut = Future()
+    fut.set_running_or_notify_cancel()
+    return fut
 
 
 @dataclass
@@ -127,7 +101,7 @@ class _Request:
     inputs: object
     deadline: float | None        # absolute time.monotonic(), or None
     t_enqueue: float
-    future: ServeFuture = field(default_factory=ServeFuture)
+    future: Future = field(default_factory=running_future)
 
     def expired(self, now: float) -> bool:
         return self.deadline is not None and now >= self.deadline
@@ -155,7 +129,7 @@ class BatchingScheduler:
     # ------------------------------------------------------------------
     # client side
     # ------------------------------------------------------------------
-    def submit(self, key: str, inputs, deadline_ms: float | None = None) -> ServeFuture:
+    def submit(self, key: str, inputs, deadline_ms: float | None = None) -> Future:
         """Enqueue one request; raises :class:`QueueFullError` at capacity."""
         now = time.monotonic()
         req = _Request(key=key, inputs=inputs, t_enqueue=now,
@@ -185,7 +159,7 @@ class BatchingScheduler:
             if not drain:
                 while self._pending:
                     req = self._pending.popleft()
-                    req.future._fail(ServiceClosedError("scheduler closed"))
+                    req.future.set_exception(ServiceClosedError("scheduler closed"))
                     self.metrics.on_fail()
             self._cond.notify_all()
         for t in self._threads:
@@ -195,7 +169,7 @@ class BatchingScheduler:
     # worker side
     # ------------------------------------------------------------------
     def _expire(self, req: _Request) -> None:
-        req.future._fail(DeadlineExceededError(
+        req.future.set_exception(DeadlineExceededError(
             "deadline expired before execution"))
         self.metrics.on_expire()
 
@@ -283,12 +257,12 @@ class BatchingScheduler:
                         f"batch execution failed after {attempts + 1} "
                         f"attempt(s): {type(exc).__name__}: {exc}")
                 for req in live:
-                    req.future._fail(err)
+                    req.future.set_exception(err)
                     self.metrics.on_fail()
                 return
         done = time.monotonic()
         for req, out in zip(live, outputs):
-            req.future._complete(out)
+            req.future.set_result(out)
             self.metrics.on_complete((done - req.t_enqueue) * 1e3)
 
     def _worker(self) -> None:

@@ -1,4 +1,13 @@
-"""The inference service: repository + batching scheduler + invariant math.
+"""The serving backends: the :class:`Backend` surface and the in-process service.
+
+:class:`Backend` is the one surface every serving front end drives — the
+gateway, the health supervisor, the load generator and the CLI.  It
+holds the only copies of ``infer``, ``infer_serial``, ``ping``,
+``force_respawn`` and the context manager; a backend supplies
+``repository``, ``metrics``, ``submit`` (returning a stdlib
+:class:`concurrent.futures.Future`), ``stats``, ``render_stats`` and
+``close``.  :class:`InferenceService` is the in-process backend and
+:class:`~repro.serve.ShardRouter` the multi-process one.
 
 :class:`InferenceService` is the front door of :mod:`repro.serve`.  A
 request names a model, a format and a PTQ mode and carries one sample;
@@ -21,20 +30,25 @@ make that true:
   elementwise, reductions over non-batch axes, or per-sample broadcast
   matmuls, and are invariant already.
 
-:meth:`infer_serial` is the reference path used by the differential
-tests: same collate/run code, batch of one, no scheduler involved.
+:meth:`Backend.infer_serial` is the reference path of the differential
+tests (``tests/test_serve_matrix.py``): same collate/run code, batch of
+one, no scheduler or shard involved.
 """
 
 from __future__ import annotations
+
+from abc import ABC, abstractmethod
+from concurrent.futures import Future
+from dataclasses import asdict
 
 import numpy as np
 
 from ..autograd import batch_invariant_matmul, no_grad
 from .metrics import ServeMetrics
 from .repository import ModelRepository
-from .scheduler import BatchPolicy, BatchingScheduler, ServeFuture
+from .scheduler import BatchPolicy, BatchingScheduler
 
-__all__ = ["InferenceService", "execute_batch"]
+__all__ = ["Backend", "InferenceService", "execute_batch"]
 
 
 def execute_batch(repository: ModelRepository, key: str,
@@ -61,32 +75,38 @@ def execute_batch(repository: ModelRepository, key: str,
     return [out[i].copy() for i in range(out.shape[0])]
 
 
-class InferenceService:
-    """Dynamic-batching inference over a :class:`ModelRepository`."""
+class Backend(ABC):
+    """The serving surface the gateway, supervisor, load generator and CLI drive.
 
-    def __init__(self, repository: ModelRepository | None = None,
-                 policy: BatchPolicy | None = None,
-                 metrics: ServeMetrics | None = None):
-        self.repository = repository or ModelRepository()
-        self.metrics = metrics or ServeMetrics()
-        self.scheduler = BatchingScheduler(self._execute, policy, self.metrics)
-        self.policy = self.scheduler.policy
+    Subclasses set ``repository`` (the :class:`ModelRepository` whose
+    keys they serve) and ``metrics`` (their :class:`ServeMetrics`), and
+    implement :meth:`submit`, :meth:`stats`, :meth:`render_stats` and
+    :meth:`close`.  Everything else is shared: the blocking
+    :meth:`infer`, the serial reference :meth:`infer_serial`, the
+    per-slot liveness probe :meth:`ping`, :meth:`force_respawn` and the
+    context manager (whose exit closes the backend).
+    """
 
-    # ------------------------------------------------------------------
-    # batched execution (scheduler worker side)
-    # ------------------------------------------------------------------
-    def _execute(self, key: str, inputs_list: list) -> list[np.ndarray]:
-        return execute_batch(self.repository, key, inputs_list)
+    repository: ModelRepository
+    metrics: ServeMetrics
 
-    # ------------------------------------------------------------------
-    # client API
-    # ------------------------------------------------------------------
+    @abstractmethod
     def submit(self, model: str, inputs, fmt: str = "MERSIT(8,2)",
                mode: str = "fakequant",
-               deadline_ms: float | None = None) -> ServeFuture:
+               deadline_ms: float | None = None) -> Future:
         """Enqueue one request; raises structured errors on backpressure."""
-        key = self.repository.model_key(model, fmt, mode)
-        return self.scheduler.submit(key, inputs, deadline_ms=deadline_ms)
+
+    @abstractmethod
+    def stats(self) -> dict:
+        """JSON-ready metrics and counters."""
+
+    @abstractmethod
+    def render_stats(self) -> str:
+        """Human-readable stats block (``repro serve --stats``)."""
+
+    @abstractmethod
+    def close(self, drain: bool = True) -> None:
+        """Stop accepting work; ``drain`` lets in-flight requests finish."""
 
     def infer(self, model: str, inputs, fmt: str = "MERSIT(8,2)",
               mode: str = "fakequant", deadline_ms: float | None = None,
@@ -99,26 +119,59 @@ class InferenceService:
                      mode: str = "fakequant") -> np.ndarray:
         """Serial single-sample reference: same data path, batch of one.
 
-        This is the ground truth of the differential guarantee — batched
-        results must equal it bit-for-bit.
+        Runs :func:`execute_batch` over this backend's own repository in
+        the calling thread — the ground truth every batched, sharded or
+        gateway result must equal byte-for-byte.
         """
         key = self.repository.model_key(model, fmt, mode)
-        return self._execute(key, [inputs])[0]
+        return execute_batch(self.repository, key, [inputs])[0]
 
-    # ------------------------------------------------------------------
-    # lifecycle / observability
-    # ------------------------------------------------------------------
+    def ping(self, timeout: float = 2.0) -> list[bool]:
+        """Per-slot liveness; in process there are no worker slots."""
+        return []
+
+    def force_respawn(self, slot: int) -> None:
+        """Hard-kill one worker slot; in process there is none to kill."""
+        raise ValueError(f"no shard slot {slot}")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        self.close()
+        return False
+
+
+class InferenceService(Backend):
+    """Dynamic-batching inference over a :class:`ModelRepository`."""
+
+    def __init__(self, repository: ModelRepository | None = None,
+                 policy: BatchPolicy | None = None):
+        self.repository = repository or ModelRepository()
+        self.metrics = ServeMetrics()
+        self.scheduler = BatchingScheduler(self._execute, policy, self.metrics)
+        self.policy = self.scheduler.policy
+
+    def _execute(self, key: str, inputs_list: list) -> list[np.ndarray]:
+        # scheduler worker side; the module-level name is looked up per
+        # call so a wrapped ``execute_batch`` sees every batch
+        return execute_batch(self.repository, key, inputs_list)
+
+    def submit(self, model: str, inputs, fmt: str = "MERSIT(8,2)",
+               mode: str = "fakequant",
+               deadline_ms: float | None = None) -> Future:
+        """Enqueue one request; raises structured errors on backpressure."""
+        key = self.repository.model_key(model, fmt, mode)
+        return self.scheduler.submit(key, inputs, deadline_ms=deadline_ms)
+
     def stats(self) -> dict:
         """Scheduler metrics plus repository counters, JSON-ready."""
         return {"metrics": self.metrics.snapshot(),
                 "repository": self.repository.stats(),
-                "policy": {"max_batch": self.policy.max_batch,
-                           "max_wait_ms": self.policy.max_wait_ms,
-                           "queue_depth": self.policy.queue_depth,
-                           "workers": self.policy.workers,
-                           "retries": self.policy.retries}}
+                "policy": asdict(self.policy)}
 
     def render_stats(self) -> str:
+        """Scheduler metrics block plus one repository line."""
         rep = self.repository.stats()
         lines = [self.metrics.render(),
                  f"  repository  resident {len(rep['resident'])}"
@@ -127,11 +180,5 @@ class InferenceService:
         return "\n".join(lines)
 
     def close(self, drain: bool = True) -> None:
+        """Stop the scheduler; ``drain`` lets queued requests finish."""
         self.scheduler.close(drain=drain)
-
-    def __enter__(self) -> "InferenceService":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False

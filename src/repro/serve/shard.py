@@ -36,16 +36,23 @@ scheduler included) behind one duplex pipe.  The pieces:
 
 **The differential guarantee, sharded.**  A sharded result is
 byte-identical to serial single-sample inference in the parent process,
-under both PTQ modes and both kernel backends.  The argument composes
-from proven pieces: workers run the same :func:`repro.serve.service.execute_batch`
-data path under the batch-invariant matmul mode (batched == serial,
-proven by ``tests/test_serve_differential.py``); attached scale/plane
+under both PTQ modes, both kernel backends and uniform or ``mixed(...)``
+format specs.  The argument composes from proven pieces: workers run the
+same :func:`repro.serve.service.execute_batch` data path under the
+batch-invariant matmul mode (batched == serial); attached scale/plane
 segments round-trip floats exactly (JSON ``repr`` serialisation, SHA-256
 verified) and the planes were computed by the publisher running the very
 same quantization code; LUT tables are pure functions of the format; and
 the active kernel backend is shipped with every request, so a worker
-never serves under a different backend than its caller.
-``tests/test_shard_differential.py`` checks the composition end to end.
+never serves under a different backend than its caller.  The serving
+matrix (``tests/test_serve_matrix.py``) checks the composition end to
+end, directly and behind the gateway, at 1, 2 and 4 shards.
+
+**Liveness.**  :meth:`ShardRouter.ping` sends each worker a ``ping``
+pipe message that the worker's main loop answers at once, without
+touching its metrics, so a health probe costs the same at any uptime.
+A worker whose main loop is wedged misses it; a worker with no
+initialised service answers unhealthy.
 
 Fault injection: the router fires ``shard:req/KEY`` faults in the
 *parent* (so counted clauses survive worker respawns) and ships the
@@ -67,9 +74,12 @@ import queue
 import signal
 import threading
 import time
+from concurrent.futures import Future
+from dataclasses import asdict
 
 from .. import kernels
 from ..formats import get_format
+from ..quant.mixed import parse_format_spec
 from ..resilience import faults
 from ..resilience import pool as pool_mod
 from . import shm
@@ -79,8 +89,8 @@ from .errors import (
 )
 from .metrics import ServeMetrics, merge_snapshots
 from .repository import ModelRepository, micro_specs, zoo_specs
-from .scheduler import BatchPolicy, ServeFuture
-from .service import InferenceService, execute_batch
+from .scheduler import BatchPolicy, running_future
+from .service import Backend, InferenceService
 
 __all__ = ["HashRing", "ShardRouter"]
 
@@ -92,25 +102,30 @@ SWEEP_GRACE_S = 1.0
 #: before declaring the request lost inside the worker
 WORKER_RESULT_TIMEOUT_S = 300.0
 
+#: how long a new router waits for each shard's ``ready`` reply
+INIT_TIMEOUT_S = 120.0
+
 
 class HashRing:
     """Consistent hashing of string keys onto ``slots`` shard indices.
 
-    Each slot contributes ``vnodes`` virtual points (SHA-256 of
+    Each slot contributes :attr:`VNODES` virtual points (SHA-256 of
     ``shard-{slot}-vnode-{v}``) on a 64-bit ring; a key maps to the
     owner of the first point at or after its own hash.  Virtual nodes
     smooth the load split, and the construction is deterministic — every
     process computes the identical ring, so tests can predict placement.
     """
 
-    def __init__(self, slots: int, vnodes: int = 64):
-        if slots < 1 or vnodes < 1:
-            raise ValueError("slots and vnodes must be >= 1")
+    #: virtual points per slot
+    VNODES = 64
+
+    def __init__(self, slots: int):
+        if slots < 1:
+            raise ValueError("slots must be >= 1")
         self.slots = slots
-        self.vnodes = vnodes
         points = sorted(
             (self._hash(f"shard-{slot}-vnode-{v}"), slot)
-            for slot in range(slots) for v in range(vnodes))
+            for slot in range(slots) for v in range(self.VNODES))
         self._points = [p for p, _ in points]
         self._owners = [s for _, s in points]
 
@@ -207,12 +222,14 @@ def _shard_worker_main(conn) -> None:
 
     Messages from the router: ``("init", cfg)``, ``("req", seq, model,
     fmt, mode, inputs, deadline_ms, backend, fault_action, fault_env)``,
-    ``("stats", seq)``, ``("stop",)``.  Replies: ``("ready", error,
-    info)`` and ``("res", seq, status, payload, extra)`` with status
-    ``ok`` / ``err`` / ``stats``.  Every ``req`` produces exactly one
-    ``res`` (admission errors reply immediately; accepted requests reply
-    from the shipper thread when their future completes).  SIGINT is
-    ignored — on Ctrl-C the router's process owns teardown.
+    ``("stats", seq)``, ``("ping", seq)``, ``("stop",)``.  Replies:
+    ``("ready", error, info)`` and ``("res", seq, status, payload)`` with
+    status ``ok`` or ``err``.  Every ``req``, ``stats`` and ``ping``
+    produces exactly one ``res`` (admission errors reply immediately;
+    accepted requests reply from the shipper thread when their future
+    completes).  A ``ping`` is answered here, in the main loop, with
+    whether a service is initialised — it never touches the metrics.
+    SIGINT is ignored — on Ctrl-C the router's process owns teardown.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     state: dict = {"service": None, "token": None, "segments": []}
@@ -234,19 +251,18 @@ def _shard_worker_main(conn) -> None:
             item = ship_q.get()
             if item is None:
                 return
-            seq, fut, t0 = item
+            seq, fut = item
             try:
                 value = fut.result(timeout=WORKER_RESULT_TIMEOUT_S)
             except ServeError as exc:
-                _send(("res", seq, "err", exc.to_entry(), {}))
+                _send(("res", seq, "err", exc.to_entry()))
             except Exception as exc:  # lint: allow[broad-except] any scheduler failure must still produce the one reply
                 err = WorkerCrashError(
                     f"shard worker lost the request: "
                     f"{type(exc).__name__}: {exc}")
-                _send(("res", seq, "err", err.to_entry(), {}))
+                _send(("res", seq, "err", err.to_entry()))
             else:
-                _send(("res", seq, "ok", value,
-                       {"latency_ms": (time.monotonic() - t0) * 1e3}))
+                _send(("res", seq, "ok", value))
 
     threading.Thread(target=_shipper, name="shard-shipper",
                      daemon=True).start()
@@ -262,6 +278,9 @@ def _shard_worker_main(conn) -> None:
             error, info = _init_service(state, msg[1])
             _send(("ready", error, info))
             continue
+        if kind == "ping":
+            _send(("res", msg[1], "ok", state["service"] is not None))
+            continue
         if kind == "stats":
             service = state["service"]
             payload = None if service is None else {
@@ -270,7 +289,7 @@ def _shard_worker_main(conn) -> None:
                 "repository": service.repository.stats(),
                 "queue_depth": service.scheduler.queue_depth(),
             }
-            _send(("res", msg[1], "stats", payload, {}))
+            _send(("res", msg[1], "ok", payload))
             continue
         (_, seq, model, fmt, mode, inputs, deadline_ms, backend,
          fault_action, fault_env) = msg
@@ -290,13 +309,13 @@ def _shard_worker_main(conn) -> None:
             fut = service.submit(model, inputs, fmt=fmt, mode=mode,
                                  deadline_ms=deadline_ms)
         except ServeError as exc:
-            _send(("res", seq, "err", exc.to_entry(), {}))
+            _send(("res", seq, "err", exc.to_entry()))
         except Exception as exc:  # lint: allow[broad-except] injected crashes and submit failures become structured replies
             err = WorkerCrashError(
                 f"shard submit failed: {type(exc).__name__}: {exc}")
-            _send(("res", seq, "err", err.to_entry(), {}))
+            _send(("res", seq, "err", err.to_entry()))
         else:
-            ship_q.put((seq, fut, time.monotonic()))
+            ship_q.put((seq, fut))
     ship_q.put(None)
     _release_state(state)
 
@@ -307,7 +326,7 @@ def _shard_worker_main(conn) -> None:
 
 
 class _Pending:
-    """Router-side record of one in-flight request (or stats ask)."""
+    """Router-side record of one in-flight request (or stats/ping ask)."""
 
     __slots__ = ("seq", "slot", "kind", "key", "payload", "future",
                  "t_submit", "deadline")
@@ -316,22 +335,21 @@ class _Pending:
                  deadline: float | None):
         self.seq = seq
         self.slot = slot
-        self.kind = kind              # "req" | "stats"
+        self.kind = kind              # "req" | "stats" | "ping"
         self.key = key
         self.payload = payload        # (model, fmt, mode, inputs, backend)
-        self.future = ServeFuture()
+        self.future = running_future()
         self.t_submit = time.monotonic()
         self.deadline = deadline      # absolute monotonic, or None
 
 
-class ShardRouter:
+class ShardRouter(Backend):
     """Consistent-hash fan-out over N shard worker processes.
 
-    Exposes the same client surface as
-    :class:`~repro.serve.InferenceService` (``submit`` / ``infer`` /
-    ``infer_serial`` / ``metrics`` / ``repository`` / ``stats``), so the
-    load generator and the differential tests drive either
-    interchangeably.
+    A :class:`~repro.serve.Backend`: the load generator, the gateway and
+    the differential tests drive it exactly like an in-process
+    :class:`~repro.serve.InferenceService`.  :meth:`infer_serial` runs
+    in the router's own process over the parent repository.
 
     Parameters
     ----------
@@ -344,15 +362,16 @@ class ShardRouter:
     preheat:
         ``(model, fmt, mode)`` keys to calibrate in the parent and
         publish as shared-memory plane segments (plus one decode-LUT
-        segment per distinct format); non-preheated keys calibrate
-        inside whichever worker first serves them (deterministically —
-        calibration streams are seeded, so results stay bit-identical).
+        segment per distinct format the spec names, so a ``mixed(...)``
+        spec publishes each of its formats); non-preheated keys
+        calibrate inside whichever worker first serves them
+        (deterministically — calibration streams are seeded, so results
+        stay bit-identical).
     policy:
         Per-worker :class:`BatchPolicy`; ``policy.queue_depth`` also
         bounds the router's per-shard in-flight window (admission
         backpressure raises :class:`QueueFullError`).
-    persist / cache_dir / calib_n / calib_seed / observer / per_channel /
-    gain_override:
+    calib_n / persist / cache_dir:
         Forwarded to every :class:`ModelRepository` (parent and workers)
         so all of them resolve identical state.
     """
@@ -361,27 +380,19 @@ class ShardRouter:
                  zoo_names: list[str] | None = None,
                  preheat: list[tuple] | tuple = (),
                  policy: BatchPolicy | None = None,
-                 calib_n: int = 64, calib_seed: int = 0,
-                 observer: str = "max", per_channel: bool = True,
-                 gain_override: float | None = None,
-                 persist: bool = False, cache_dir=None,
-                 start_method: str | None = None, vnodes: int = 64,
-                 init_timeout: float = 120.0):
+                 calib_n: int = 64, persist: bool = False, cache_dir=None):
         if shards < 1:
             raise ValueError("shards must be >= 1")
         if specs not in ("micro", "zoo"):
             raise ValueError(f"specs must be 'micro' or 'zoo', got {specs!r}")
         self.policy = policy or BatchPolicy()
         self.metrics = ServeMetrics()
-        self.ring = HashRing(shards, vnodes)
+        self.ring = HashRing(shards)
         self._specs_desc = (
             {"kind": "micro"} if specs == "micro"
             else {"kind": "zoo",
                   "names": None if zoo_names is None else list(zoo_names)})
-        self._repo_cfg: dict = {
-            "calib_n": calib_n, "calib_seed": calib_seed,
-            "observer": observer, "per_channel": per_channel,
-            "gain_override": gain_override, "persist": persist}
+        self._repo_cfg: dict = {"calib_n": calib_n, "persist": persist}
         if cache_dir is not None:
             self._repo_cfg["cache_dir"] = str(cache_dir)
         self.repository = ModelRepository(_build_specs(self._specs_desc),
@@ -395,9 +406,8 @@ class ShardRouter:
                                                              "fakequant")
             self._publish_key(model, fmt, mode)
 
-        ctx = (multiprocessing.get_context(start_method) if start_method
-               else multiprocessing.get_context())
-        self._pool = pool_mod.get_pool(ctx, kind="serve",
+        self._pool = pool_mod.get_pool(multiprocessing.get_context(),
+                                       kind="serve",
                                        target=_shard_worker_main,
                                        name_prefix="repro-shard")
         self._workers = self._pool.lease(shards)
@@ -413,9 +423,9 @@ class ShardRouter:
         for worker in self._workers:
             worker.conn.send(("init", cfg))
         for slot, worker in enumerate(self._workers):
-            if not worker.conn.poll(init_timeout):
+            if not worker.conn.poll(INIT_TIMEOUT_S):
                 raise ModelLoadError(f"shard {slot} did not initialise "
-                                     f"within {init_timeout}s")
+                                     f"within {INIT_TIMEOUT_S}s")
             msg = worker.conn.recv()
             if msg[0] != "ready" or msg[1] is not None:
                 raise ModelLoadError(
@@ -432,12 +442,13 @@ class ShardRouter:
             seg = shm.publish(f"plane/{key}", meta, arrays)
             self.plane_manifest[key] = seg.name
             self._published.append(seg)
-        fmt_name = get_format(fmt).name
-        if fmt_name not in self.lut_manifest:
-            lmeta, larrays = kernels.export_tables(get_format(fmt))
-            lseg = shm.publish(f"lut/{fmt_name}", lmeta, larrays)
-            self.lut_manifest[fmt_name] = lseg.name
-            self._published.append(lseg)
+        default_name, layer_formats = parse_format_spec(fmt)
+        for fmt_name in sorted({default_name, *layer_formats.values()}):
+            if fmt_name not in self.lut_manifest:
+                lmeta, larrays = kernels.export_tables(get_format(fmt_name))
+                lseg = shm.publish(f"lut/{fmt_name}", lmeta, larrays)
+                self.lut_manifest[fmt_name] = lseg.name
+                self._published.append(lseg)
 
     def worker_config(self) -> dict:
         """The plain-data init config every shard worker receives."""
@@ -445,16 +456,12 @@ class ShardRouter:
                 "repository": dict(self._repo_cfg),
                 "plane_manifest": dict(self.plane_manifest),
                 "lut_manifest": dict(self.lut_manifest),
-                "policy": {"max_batch": self.policy.max_batch,
-                           "max_wait_ms": self.policy.max_wait_ms,
-                           "queue_depth": self.policy.queue_depth,
-                           "workers": self.policy.workers,
-                           "retries": self.policy.retries}}
+                "policy": asdict(self.policy)}
 
     # -- client API ------------------------------------------------------
     def submit(self, model: str, inputs, fmt: str = "MERSIT(8,2)",
                mode: str = "fakequant",
-               deadline_ms: float | None = None) -> ServeFuture:
+               deadline_ms: float | None = None) -> Future:
         """Route one request to its shard; returns a completion future."""
         key = self.repository.model_key(model, fmt, mode)
         slot = self.ring.lookup(key)
@@ -481,24 +488,6 @@ class ShardRouter:
             self.metrics.on_submit(depth + 1)
         self._dispatch(pending, fault_action)
         return pending.future
-
-    def infer(self, model: str, inputs, fmt: str = "MERSIT(8,2)",
-              mode: str = "fakequant", deadline_ms: float | None = None,
-              timeout: float | None = 60.0):
-        """Submit and block for the result (convenience wrapper)."""
-        return self.submit(model, inputs, fmt, mode,
-                           deadline_ms=deadline_ms).result(timeout)
-
-    def infer_serial(self, model: str, inputs, fmt: str = "MERSIT(8,2)",
-                     mode: str = "fakequant"):
-        """Serial single-sample reference in the router's own process.
-
-        Runs the same :func:`execute_batch` data path over the parent
-        repository — the ground truth every sharded result must equal
-        byte-for-byte.
-        """
-        key = self.repository.model_key(model, fmt, mode)
-        return execute_batch(self.repository, key, [inputs])[0]
 
     # -- dispatch / collection -------------------------------------------
     def _dispatch(self, pending: _Pending,
@@ -538,20 +527,19 @@ class ShardRouter:
             return
         if kind != "res":  # pragma: no cover - unknown message
             return
-        _, seq, status, payload, _extra = msg
+        _, seq, status, payload = msg
         with self._lock:
             pending = self._pending.pop(seq, None)
         if pending is None:
             return  # late reply for a retired request: dropped (exactly-once)
         if status == "ok":
-            pending.future._complete(payload)
-            self.metrics.on_complete(
-                (time.monotonic() - pending.t_submit) * 1e3)
-        elif status == "stats":
-            pending.future._complete(payload)
+            pending.future.set_result(payload)
+            if pending.kind == "req":
+                self.metrics.on_complete(
+                    (time.monotonic() - pending.t_submit) * 1e3)
         else:
             err = error_from_entry(payload)
-            pending.future._fail(err)
+            pending.future.set_exception(err)
             if isinstance(err, DeadlineExceededError):
                 self.metrics.on_expire()
             else:
@@ -567,7 +555,7 @@ class ShardRouter:
             for p in expired:
                 del self._pending[p.seq]
         for p in expired:
-            p.future._fail(DeadlineExceededError(
+            p.future.set_exception(DeadlineExceededError(
                 "deadline expired with no reply from the shard worker"))
             self.metrics.on_expire()
 
@@ -593,57 +581,65 @@ class ShardRouter:
                            if p.slot == slot), key=lambda p: p.seq)
         now = time.monotonic()
         for p in todo:
-            if p.kind != "req":
-                with self._lock:
-                    self._pending.pop(p.seq, None)
-                p.future._complete(None)   # stats ask died with the worker
-            elif p.deadline is not None and now >= p.deadline:
-                with self._lock:
-                    self._pending.pop(p.seq, None)
-                p.future._fail(DeadlineExceededError(
-                    "deadline expired during shard respawn"))
-                self.metrics.on_expire()
-            else:
+            if p.kind == "req" and (p.deadline is None or now < p.deadline):
                 # the pipe delivers the init before these, and the fault
                 # action is deliberately not re-shipped
                 self._dispatch(p)
+                continue
+            with self._lock:
+                if self._pending.pop(p.seq, None) is None:
+                    continue   # retired meanwhile: completed elsewhere
+            if p.kind != "req":
+                p.future.set_result(None)   # stats/ping ask died with the worker
+            else:
+                p.future.set_exception(DeadlineExceededError(
+                    "deadline expired during shard respawn"))
+                self.metrics.on_expire()
 
     # -- observability ---------------------------------------------------
-    def _ask_stats(self, slot: int) -> _Pending:
-        with self._lock:
-            pending = _Pending(seq=next(self._seq), slot=slot, kind="stats",
-                               key="", payload=None, deadline=None)
-            self._pending[pending.seq] = pending
-        with self._slot_locks[slot]:
-            try:
-                # lint: allow[blocking-call-under-lock] per-slot lock serializes pipe writes; a stats tuple never fills the pipe buffer
-                self._workers[slot].conn.send(("stats", pending.seq))
-            except (OSError, ValueError):
-                pass
-        return pending
+    def _ask_all(self, kind: str, timeout: float) -> list:
+        """One ``stats`` or ``ping`` ask per slot; the replies in slot order.
 
-    def ping(self, timeout: float = 2.0) -> list[bool]:
-        """Per-slot liveness: does each shard still answer its stats pipe?
-
-        A slot is healthy iff it ships a stats payload within
-        ``timeout`` — a worker whose main loop is wedged (an enacted
-        ``hang`` fault, a stuck syscall) fails the ping even though its
-        process is alive, which is exactly the state the health
-        supervisor must escalate.  Unanswered asks are retired so a hung
-        worker cannot leak pending records probe after probe.
+        A slot whose worker does not answer within ``timeout`` (or died)
+        reads ``None``.  Every ask is retired afterwards, so a hung
+        worker cannot leak pending records call after call.
         """
-        pendings = [self._ask_stats(slot)
-                    for slot in range(len(self._workers))]
-        healthy = []
+        pendings = []
+        for slot in range(len(self._workers)):
+            with self._lock:
+                pending = _Pending(seq=next(self._seq), slot=slot, kind=kind,
+                                   key="", payload=None, deadline=None)
+                self._pending[pending.seq] = pending
+            with self._slot_locks[slot]:
+                try:
+                    # lint: allow[blocking-call-under-lock] per-slot lock serializes pipe writes; an ask tuple never fills the pipe buffer
+                    self._workers[slot].conn.send((kind, pending.seq))
+                except (OSError, ValueError):
+                    pass
+            pendings.append(pending)
+        replies = []
         for pending in pendings:
             try:
-                healthy.append(pending.future.result(timeout) is not None)
-            except Exception:  # lint: allow[broad-except] an unresponsive or dead shard is simply unhealthy
-                healthy.append(False)
+                replies.append(pending.future.result(timeout))
+            except Exception:  # lint: allow[broad-except] an unresponsive or dead shard answers nothing
+                replies.append(None)
         with self._lock:
             for pending in pendings:
                 self._pending.pop(pending.seq, None)
-        return healthy
+        return replies
+
+    def ping(self, timeout: float = 2.0) -> list[bool]:
+        """Per-slot liveness: does each shard's main loop still answer?
+
+        A slot is healthy iff its worker answers a ``ping`` within
+        ``timeout`` with an initialised service — a worker whose main
+        loop is wedged (an enacted ``hang`` fault, a stuck syscall)
+        fails the ping even though its process is alive, which is
+        exactly the state the health supervisor must escalate.  The
+        reply is one bool: no metrics are read, so the probe's cost does
+        not grow with uptime.
+        """
+        return [reply is True for reply in self._ask_all("ping", timeout)]
 
     def force_respawn(self, slot: int) -> None:
         """Hard-kill one shard worker (health-supervision escalation).
@@ -669,16 +665,10 @@ class ShardRouter:
         request would report.  Per-shard entries keep their queue depth
         and counters (samples are stripped after merging).
         """
-        futures = [self._ask_stats(slot).future
-                   for slot in range(len(self._workers))]
-        per_shard = []
-        for slot, fut in enumerate(futures):
-            try:
-                snap = fut.result(timeout)
-            except Exception:  # lint: allow[broad-except] a dead shard reports as missing, not a stats crash
-                snap = None
-            per_shard.append({"slot": slot, "pid": self._workers[slot].pid,
-                              "stats": snap})
+        per_shard = [{"slot": slot, "pid": self._workers[slot].pid,
+                      "stats": snap}
+                     for slot, snap in enumerate(self._ask_all("stats",
+                                                               timeout))]
         fleet = merge_snapshots([e["stats"]["metrics"] for e in per_shard
                                  if e["stats"]])
         for e in per_shard:   # samples served their purpose; keep output lean
@@ -747,16 +737,9 @@ class ShardRouter:
             leftovers = list(self._pending.values())
             self._pending.clear()
         for p in leftovers:
-            p.future._fail(ServiceClosedError(
+            p.future.set_exception(ServiceClosedError(
                 "shard router closed with the request in flight"))
             self.metrics.on_fail()
         for seg in self._published:
             seg.unlink()
         self._published.clear()
-
-    def __enter__(self) -> "ShardRouter":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False

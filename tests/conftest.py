@@ -15,16 +15,23 @@ test during which the runtime sanitizer (:mod:`repro.sanitize`) observed
 a lock-order inversion, and — for the serve/shard/grid/sanitize suites —
 any test that leaks threads, ``/dev/shm`` segments or pipe fds past its
 own teardown, so leaks localize to the test that caused them.
+
+:class:`GatedBackend` (fixture ``gated_backend``) is the one serving
+test fake: a :class:`repro.serve.Backend` whose futures complete only
+when the test opens its gate, shared by the gateway suites.
 """
 
 import gc
+import threading
 import time
+from concurrent.futures import Future
 
+import numpy as np
 import pytest
 
 from repro import sanitize
 from repro.resilience import pool
-from repro.serve import shm
+from repro.serve import Backend, ModelRepository, ServeMetrics, shm
 from repro.zoo import registry
 
 #: suites whose tests get the post-teardown leak check (they are the
@@ -81,3 +88,52 @@ def _fresh_worker_pools(_sanitize_canary):
     pool.shutdown_all()
     registry.clear_warm_models()
     shm.unlink_all()
+
+
+class GatedBackend(Backend):
+    """Serves one ``stub`` model; every reply waits for ``gate``.
+
+    ``submitted`` counts requests that reached the backend;
+    ``drain_closes`` / ``abort_closes`` count ``close`` calls by mode.
+    Closing opens the gate, so no request outlives its gateway.
+    """
+
+    RESULT = np.full(2, 7.0, np.float32)
+
+    def __init__(self):
+        self.repository = ModelRepository({"stub": None}, persist=False)
+        self.metrics = ServeMetrics()
+        self.gate = threading.Event()
+        self.submitted = 0
+        self.drain_closes = 0
+        self.abort_closes = 0
+
+    def submit(self, model, inputs, fmt="MERSIT(8,2)", mode="fakequant",
+               deadline_ms=None):
+        self.submitted += 1
+        fut = Future()
+
+        def run():
+            if self.gate.wait(30):
+                fut.set_result(self.RESULT.copy())
+
+        threading.Thread(target=run, daemon=True).start()
+        return fut
+
+    def stats(self):
+        return {"gated": True}
+
+    def render_stats(self):
+        return "gated stub"
+
+    def close(self, drain=True):
+        if drain:
+            self.drain_closes += 1
+        else:
+            self.abort_closes += 1
+        self.gate.set()
+
+
+@pytest.fixture()
+def gated_backend():
+    return GatedBackend()

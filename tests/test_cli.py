@@ -91,6 +91,16 @@ class TestServeCommand:
         assert "closed-loop micro-mlp" in out and "12/12 ok" in out
         assert "serve metrics" in out and "batch histo" in out
 
+    def test_serve_mixed_spec_through_one_shard(self, capsys, tmp_path,
+                                                monkeypatch):
+        """A preheated mixed spec publishes one LUT segment per format."""
+        monkeypatch.setenv("REPRO_SERVE_CACHE", str(tmp_path / "cache"))
+        assert main(["serve", "micro-mlp", "--shards", "1",
+                     "--format", "mixed(MERSIT(8,2);layer2=FP(8,2))",
+                     "--requests", "8", "--concurrency", "2",
+                     "--calib", "8"]) == 0
+        assert "8/8 ok" in capsys.readouterr().out
+
     def test_serve_unknown_model(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE_CACHE", str(tmp_path / "cache"))
         assert main(["serve", "no-such-model"]) == 2

@@ -1,16 +1,15 @@
 """Gateway basics: wire codec, ops, admission, deadline propagation.
 
 The fast half of the gateway suite: everything here runs against either
-pure functions (:mod:`repro.serve.wire`) or a single in-process
+pure functions (:mod:`repro.serve.wire`), the gated test backend
+(``gated_backend``, see ``conftest.py``) or a single in-process
 :class:`InferenceService` behind a real localhost socket — no shard
-processes, no chaos.  The headline check extends the repo's bit-identity
-guarantee across the wire: a reply decoded from the TCP frame is
-byte-equal to ``infer_serial`` on the same service.
+processes, no chaos.  Bit-identity across the wire is a column of the
+serving matrix (``tests/test_serve_matrix.py``).
 """
 
 import threading
 import time
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -77,63 +76,11 @@ def test_garble_changes_bytes_but_not_length():
 
 
 # ---------------------------------------------------------------------------
-# stub service: deterministic control over completion timing
-# ---------------------------------------------------------------------------
-
-class _StubRepo:
-    specs = {"stub": object()}
-
-    def model_key(self, model, fmt, mode):
-        return f"{model}|{fmt}|{mode}"
-
-
-class _StubService:
-    """Service double whose futures complete only when the test says so."""
-
-    def __init__(self):
-        self.repository = _StubRepo()
-        self.gate = threading.Event()
-        self.submitted = 0
-
-    def submit(self, model, inputs, fmt, mode, deadline_ms=None):
-        self.submitted += 1
-        fut = Future()
-
-        def run():
-            if self.gate.wait(30):
-                fut.set_result(np.zeros(1, np.float32))
-
-        threading.Thread(target=run, daemon=True).start()
-        return fut
-
-    def stats(self):
-        return {"stub": True}
-
-    def render_stats(self):
-        return "stub service"
-
-    def close(self, drain=True):
-        self.gate.set()
-
-
-# ---------------------------------------------------------------------------
 # gateway ops over a real socket
 # ---------------------------------------------------------------------------
 
 def _service():
     return InferenceService(ModelRepository(micro_specs(), calib_n=8))
-
-
-def test_infer_over_socket_is_bit_identical_to_serial():
-    svc = _service()
-    with Gateway(svc, port=0).start() as gw, \
-            GatewayClient(gw.host, gw.port, seed=0) as client:
-        xs = micro_specs()["micro-mlp"].requests(3, seed=5)
-        for x in xs:
-            got = client.infer("micro-mlp", x)
-            ref = svc.infer_serial("micro-mlp", x)
-            assert got.tobytes() == ref.tobytes()
-            assert got.dtype == ref.dtype and got.shape == ref.shape
 
 
 def test_stats_and_health_ops():
@@ -163,9 +110,9 @@ def test_bad_requests_are_structured():
                 client._call({"op": "teleport"}, retryable=False)
 
 
-def test_overload_sheds_with_structured_error():
+def test_overload_sheds_with_structured_error(gated_backend):
     """max_inflight=1: a second concurrent request is shed, not queued."""
-    stub = _StubService()
+    stub = gated_backend
     with Gateway(stub, port=0, max_inflight=1).start() as gw:
         first_done = []
 
@@ -188,8 +135,8 @@ def test_overload_sheds_with_structured_error():
         assert gw.stats()["gateway"]["errors"]["overloaded"] == 1
 
 
-def test_overloaded_is_retryable_and_succeeds_after_window_frees():
-    stub = _StubService()
+def test_overloaded_is_retryable_and_succeeds_after_window_frees(gated_backend):
+    stub = gated_backend
     with Gateway(stub, port=0, max_inflight=1).start() as gw:
         t = threading.Thread(
             target=lambda: GatewayClient(gw.host, gw.port, seed=5).infer(
@@ -203,24 +150,25 @@ def test_overloaded_is_retryable_and_succeeds_after_window_frees():
         threading.Timer(0.2, stub.gate.set).start()
         with GatewayClient(gw.host, gw.port, seed=6, retries=8) as c2:
             out = c2.infer("stub", np.zeros(1, np.float32))
-        assert out.shape == (1,)
+        assert out.tobytes() == stub.RESULT.tobytes()
         assert c2.retried >= 1, "success must have come through a retry"
         t.join(timeout=10)
 
 
-def test_gateway_timeout_backstop_is_structured():
-    stub = _StubService()   # never completes until closed
+def test_gateway_timeout_backstop_is_structured(gated_backend):
+    stub = gated_backend   # never completes until closed
     with Gateway(stub, port=0, request_timeout_s=0.3).start() as gw:
         with GatewayClient(gw.host, gw.port, seed=7, retries=0) as client:
             with pytest.raises(GatewayTimeoutError):
                 client.infer("stub", np.zeros(1, np.float32))
 
 
-def test_deadline_eaten_in_transit_fails_without_executing(monkeypatch):
+def test_deadline_eaten_in_transit_fails_without_executing(monkeypatch,
+                                                         gated_backend):
     """An inbound delay fault longer than the budget must surface as a
     deadline error *without* the request ever reaching the service."""
     monkeypatch.setenv(faults.ENV_VAR, "net:frame/infer:delay:1")
-    stub = _StubService()
+    stub = gated_backend
     stub.gate.set()   # the service would answer instantly if asked
     with Gateway(stub, port=0).start() as gw:
         with GatewayClient(gw.host, gw.port, seed=8, retries=0) as client:

@@ -2,12 +2,12 @@
 
 Two levels:
 
-* **in-process** — a gated stub service holds one request in flight
-  while the ``drain`` op lands: the in-flight request must still
-  complete, new requests (on old *and* new connections) must get a
-  structured ``draining`` error, and ``wait_closed`` must observe the
-  full teardown (supervisor stopped, service closed with
-  ``drain=True``).
+* **in-process** — the gated test backend (``gated_backend``, see
+  ``conftest.py``) holds one request in flight while the ``drain`` op
+  lands: the in-flight request must still complete, new requests (on
+  old *and* new connections) must get a structured ``draining`` error,
+  and ``wait_closed`` must observe the full teardown (supervisor
+  stopped, service closed with ``drain=True``).
 * **subprocess** — the real CLI path: ``repro serve --host --port``
   prints its bound address, SIGTERM lands while a request is in flight
   (held open by an armed ``net:reply/infer:delay`` fault), the reply
@@ -22,7 +22,6 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -44,48 +43,8 @@ def _disarm(monkeypatch):
     monkeypatch.delenv(faults.ENV_VAR, raising=False)
 
 
-class _StubRepo:
-    specs = {"stub": object()}
-
-    def model_key(self, model, fmt, mode):
-        return f"{model}|{fmt}|{mode}"
-
-
-class _GatedService:
-    """Completes requests only when the test opens the gate."""
-
-    def __init__(self):
-        self.repository = _StubRepo()
-        self.gate = threading.Event()
-        self.drain_closes = 0
-        self.abort_closes = 0
-
-    def submit(self, model, inputs, fmt, mode, deadline_ms=None):
-        fut = Future()
-
-        def run():
-            if self.gate.wait(30):
-                fut.set_result(np.full(2, 7.0, np.float32))
-
-        threading.Thread(target=run, daemon=True).start()
-        return fut
-
-    def stats(self):
-        return {"gated": True}
-
-    def render_stats(self):
-        return "gated stub"
-
-    def close(self, drain=True):
-        if drain:
-            self.drain_closes += 1
-        else:
-            self.abort_closes += 1
-        self.gate.set()
-
-
-def test_drain_op_finishes_inflight_and_rejects_new_work():
-    stub = _GatedService()
+def test_drain_op_finishes_inflight_and_rejects_new_work(gated_backend):
+    stub = gated_backend
     gw = Gateway(stub, port=0, drain_timeout_s=20.0).start()
     inflight_result = []
 

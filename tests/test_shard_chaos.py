@@ -15,7 +15,8 @@ through the same ``REPRO_FAULTS`` grammar as the grid chaos suite:
 
 Invariants checked: **exactly one** structured outcome per request (a
 value or a ServeError — no hangs, no duplicates), respawned shards keep
-serving, and post-storm results are byte-identical to serial inference.
+serving, post-storm results are byte-identical to serial inference, and
+a hung worker leaks no router-side records.
 """
 
 import numpy as np
@@ -23,7 +24,8 @@ import pytest
 
 from repro.resilience import faults
 from repro.serve import (
-    BatchPolicy, ShardRouter, WorkerCrashError, micro_specs,
+    BatchPolicy, ServiceClosedError, ShardRouter, WorkerCrashError,
+    micro_specs,
 )
 
 pytestmark = [pytest.mark.shard, pytest.mark.chaos]
@@ -148,3 +150,19 @@ def test_exactly_once_under_mixed_storm(monkeypatch):
         snap = router.metrics.snapshot()
         assert snap["submitted"] == len(futs)
         assert snap["completed"] + snap["failed"] == len(futs)
+
+
+def test_hung_worker_leaks_no_stats_asks(monkeypatch):
+    """Unanswered stats asks to a wedged worker are retired, and closing
+    the router counts only the stranded request as failed."""
+    monkeypatch.setenv(faults.ENV_VAR, f"shard:req/{KEY}:hang:1")
+    router = _router(shards=1)
+    x = micro_specs()["micro-mlp"].requests(1, seed=6)[0]
+    fut = router.submit("micro-mlp", x, "MERSIT(8,2)")   # wedges the worker
+    for _ in range(3):
+        assert router.stats(timeout=0.2)["per_shard"][0]["stats"] is None
+    assert [p.kind for p in router._pending.values()] == ["req"]
+    router.close(drain=False)
+    with pytest.raises(ServiceClosedError):
+        fut.result(5)
+    assert router.metrics.snapshot()["failed"] == 1

@@ -12,6 +12,10 @@ correctness properties that makes the fleet numbers trustworthy:
   instance that recorded the whole stream — and when any shard omits
   its samples, the merge *says so* (``percentiles_exact: False``)
   instead of silently reporting an upper bound as the truth.
+
+The health probe is the other way metrics could cross the pipe; it must
+not: a ``ping`` reply is one bool per shard, so its cost does not grow
+with the requests a worker has recorded.
 """
 
 import threading
@@ -19,7 +23,9 @@ import threading
 import numpy as np
 import pytest
 
-from repro.serve import ServeMetrics, merge_snapshots, percentile
+from repro.serve import (
+    ServeMetrics, ShardRouter, merge_snapshots, micro_specs, percentile,
+)
 
 pytestmark = pytest.mark.shard
 
@@ -158,3 +164,30 @@ def test_percentile_matches_numpy_on_ties_and_singletons():
     samples = [1.0, 1.0, 1.0, 2.0, 100.0]
     for q in (50, 95, 99):
         assert percentile(samples, q) == float(np.percentile(samples, q))
+
+
+def test_ping_reply_carries_no_metrics():
+    """Each ping reply is one bool; a worker without a service reads
+    unhealthy."""
+    router = ShardRouter(shards=2, specs="micro", calib_n=4)
+    seen = []
+    handle = router._handle
+
+    def record(msg):
+        seen.append(msg)
+        handle(msg)
+
+    router._handle = record   # what the collector receives, in order
+    try:
+        x = micro_specs()["micro-mlp"].requests(1, seed=0)[0]
+        router.infer("micro-mlp", x)   # a worker now has metrics to ship
+        seen.clear()
+        assert router.ping() == [True, True]
+        assert [msg[2:] for msg in seen] == [("ok", True), ("ok", True)]
+        # a failed re-init leaves slot 0 without a service; the pipe
+        # delivers the init before the next ping
+        with router._slot_locks[0]:
+            router._workers[0].conn.send(("init", {"specs": {"kind": "?"}}))
+        assert router.ping() == [False, True]
+    finally:
+        router.close()
