@@ -129,7 +129,7 @@ def bench_sharded(shards: int, requests: int, mode: str) -> dict:
                      "latency_ms": d["latency_ms"]}
     out["fleet"] = {"completed": fleet["completed"],
                     "mean_batch_size": fleet["mean_batch_size"],
-                    "percentiles_exact": fleet["percentiles_exact"]}
+                    "shards": fleet["shards"]}
     out["cpu_limited"] = cpu_limited
     return out
 

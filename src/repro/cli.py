@@ -28,7 +28,8 @@ serve MODEL [--format F] [--mode fakequant|engine] [--requests N]
     deterministic load generator; ``--shards N`` fans requests across N
     worker processes sharing calibrated state through shared memory;
     ``--stats`` prints the latency/queue/batch metrics afterwards
-    (fleet-wide exact percentiles when sharded).  With ``--host``/
+    (latency quantiles within 1% from log-bucketed histograms, merged
+    across the fleet when sharded).  With ``--host``/
     ``--port`` the service is exposed through the TCP gateway instead of
     the load generator: the process prints ``gateway listening on H:P``
     and serves until SIGTERM/SIGINT triggers a graceful drain (in-flight
@@ -131,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "(0 = in-process service)")
     p_serve.add_argument("--stats", action="store_true",
                          help="print service metrics after the run "
-                         "(fleet-wide percentiles with --shards)")
+                         "(quantiles within 1%%; merged fleet-wide with "
+                         "--shards)")
     p_serve.add_argument("--host", default=None,
                          help="expose the service over TCP on this "
                          "address (gateway mode; implies no loadgen)")

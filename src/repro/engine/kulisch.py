@@ -17,24 +17,25 @@ exact accumulator value is ``sum_H limbs[H] << (BLOCK*H)``; blocks with
 no operands are skipped, so well-scaled tensors (the PTQ case: data
 concentrated around 2^0) cost only a handful of int64 matmuls.
 
-The final re-encode — the MAC's single output rounding — is exact and
-stays in int64 and float64, with the repo-wide round-to-nearest,
-ties-away-from-zero rule.  Which of two encoders runs follows from
-bounds on the inputs (the blocks present and the contraction length):
+The final re-encode — the MAC's single output rounding, round to nearest
+with ties away from zero — is the output format's own ``encode_array``
+(the bit-LUT kernel or the reference ``searchsorted`` path, by the kernel
+switch), applied to one float64 per output that rounds exactly like the
+accumulator.  Which float64 follows from a bound on the inputs (the
+blocks present and the contraction length):
 
-* ``_encode_int64`` — when the accumulator and the midpoints fit int64
-  units of ``2^lsb``, the limbs are combined into one integer per output
-  and compared by ``searchsorted`` against the midpoints floored onto
-  the accumulator grid (a tie needs a midpoint on the grid).
-* ``_encode_window`` — otherwise the limbs are carry-normalised into
-  ``BLOCK``-bit digits, and only the magnitude's *leading window* (the
-  top nonzero digit and the next two, truncated toward zero: at least
-  ``2*BLOCK + 1`` significant bits) is compared, as an exact float64.
-  Every codebook midpoint has at most ``MID_SIG_BITS_MAX = 2*BLOCK + 1``
-  significant bits (9 for the widest registry format, Posit(8,3);
-  checked when the planes are built), so a midpoint at or above the
-  window lies on the window's grid: truncation can never cross one.
-  When the window lands exactly on a midpoint, the value is that
+* the total itself, when ``|total| < 2^53`` in units of ``2^lsb``: the
+  limbs combine in int64, the cast to float64 is exact (a 53-bit
+  significand holds the whole integer) and so is ``np.ldexp`` by the lsb;
+* otherwise the accumulator's *leading window* (``_window_floats``): the
+  limbs are carry-normalised into ``BLOCK``-bit digits and only the
+  magnitude's top nonzero digit and the next two are kept, truncated
+  toward zero — at least ``2*BLOCK + 1`` significant bits, an exact
+  float64.  Every codebook midpoint has at most ``MID_SIG_BITS_MAX =
+  2*BLOCK + 1`` significant bits (9 for the widest registry format,
+  Posit(8,3); checked when the planes are built), so a midpoint at or
+  above the window lies on the window's grid: truncation can never cross
+  one.  When the window lands exactly on a midpoint, the value is that
   midpoint or lies beyond it away from zero, and both round away from
   zero.  This is the software form of Deep Positron's quire-to-posit
   rounding from the register's leading bits.
@@ -148,35 +149,14 @@ def _combine_object(limbs: np.ndarray) -> np.ndarray:
     return total
 
 
-def _encode_int64(po: CodePlanes, total: np.ndarray, lsb: int) -> np.ndarray:
-    """Exact vectorized re-encode of int64 accumulators (``total * 2^lsb``).
-
-    Midpoints are floored onto the accumulator grid,
-    ``floor(mid * 2^-lsb)``: for an integer total, ``total > mid`` iff
-    ``total > floor(mid)``, and a tie ``total == mid`` needs a midpoint on
-    the grid.  So one ``searchsorted`` plus a tie step for grid midpoints
-    is exact even when the midpoints are finer than the accumulator (INT8:
-    ``lsb = 0`` and half-integer midpoints, which no total can tie).
-    """
-    units = np.ldexp(po.mid_floats, -lsb)
-    floors = np.floor(units)
-    mid_units = floors.astype(np.int64)
-    idx = np.searchsorted(mid_units, total, side="left")
-    j = np.minimum(idx, len(mid_units) - 1)
-    tie = (mid_units[j] == total) & (floors[j] == units[j])
-    return po.sorted_codes[idx + (tie & (total > 0))]
-
-
-def _encode_window(po: CodePlanes, limbs: np.ndarray, lsb: int) -> np.ndarray:
-    """Exact re-encode from the accumulator's leading window.
+def _window_floats(limbs: np.ndarray, lsb: int) -> np.ndarray:
+    """The accumulator's leading window as one exact float64 per output.
 
     The limbs are carry-normalised to the magnitude's ``BLOCK``-bit
     digits; the window is the leading nonzero digit and the next two,
     truncated toward zero: the whole value or at least ``2*BLOCK + 1`` of
     its leading bits, below ``2^(3*BLOCK)``, so an exact float64.  It
-    rounds like the value (module docstring), and a window on a midpoint
-    rounds away from zero whatever was truncated (positive: up;
-    negative: stays).
+    rounds like the value (module docstring).
     """
     shape = limbs.shape[1:]
     digits = _normalised(limbs.reshape(limbs.shape[0], -1), below=2)
@@ -196,11 +176,7 @@ def _encode_window(po: CodePlanes, limbs: np.ndarray, lsb: int) -> np.ndarray:
     # signed window weights, negative ones at [ndig, 2*ndig)
     scale = np.ldexp(1.0, (BLOCK * (pos[:, 0] - 4) + lsb).astype(np.int32))
     scale = np.concatenate([scale, -scale])
-    vals = window.astype(np.float64) * scale[top + ndig * neg]
-    mids = po.mid_floats
-    idx = np.searchsorted(mids, vals, side="left")
-    tie = mids[np.minimum(idx, len(mids) - 1)] == vals
-    return po.sorted_codes[idx + (tie & (vals > 0))].reshape(shape)
+    return (window.astype(np.float64) * scale[top + ndig * neg]).reshape(shape)
 
 
 def _matmul_codes(pa: CodePlanes, pb: CodePlanes, po: CodePlanes,
@@ -214,9 +190,11 @@ def _matmul_codes(pa: CodePlanes, pb: CodePlanes, po: CodePlanes,
     bound_bits = (BLOCK * (limbs.shape[0] - 1)
                   + pa.msig_bits + pb.msig_bits + 2 * BLOCK
                   + k.bit_length())
-    if bound_bits <= 62 and po.mid_top - lsb <= 62:
-        return _encode_int64(po, _combine_int64(limbs), lsb)
-    return _encode_window(po, limbs, lsb)
+    if bound_bits <= 53:
+        vals = np.ldexp(_combine_int64(limbs).astype(np.float64), lsb)
+    else:
+        vals = _window_floats(limbs, lsb)
+    return po.fmt.encode_array(vals)
 
 
 def qmatmul(fmt, a_codes, b_codes, fmt_b=None, out_fmt=None) -> np.ndarray:

@@ -25,13 +25,11 @@ split as ``texp = h*BLOCK + l``: the plane ``blocked[h][code]`` holds
 product's full shift decomposes into an in-word shift (baked into the
 operand planes) plus a whole-limb shift ``BLOCK * (h_a + h_b)``.
 
-The rounding tables (sorted values, their codes, float64 midpoints)
-reuse the bit-LUT kernel's sorted codebook arrays
-(:mod:`repro.kernels.lut`) so the engine and the quantize kernels share
-one source of truth for the codebook ordering.  The re-encode's
-exactness argument needs every midpoint to be an exact float64 with at
-most ``MID_SIG_BITS_MAX`` significant bits; that is checked here, once
-per format (the widest registry midpoints, Posit(8,3)'s, have 9).
+The output rounding is the format's own ``encode_array``; the
+re-encode's exactness argument needs every midpoint of the codebook to
+be an exact float64 with at most ``MID_SIG_BITS_MAX`` significant bits,
+and that is checked here, once per format (the widest registry
+midpoints, Posit(8,3)'s, have 9).
 """
 
 from __future__ import annotations
@@ -60,6 +58,8 @@ class CodePlanes:
 
     Attributes
     ----------
+    fmt:
+        The format; its ``encode_array`` is the re-encode's rounding.
     msig, texp:
         The per-code planes (int64, length ``2^nbits``).
     msig_bits:
@@ -67,32 +67,16 @@ class CodePlanes:
     pmin:
         Power-of-two scale of ``msig`` at ``texp == 0``; a code's value is
         ``msig * 2^(pmin + texp)``.
-    tmax:
-        Largest ``texp`` over finite codes.
-    nblocks:
-        Number of ``BLOCK``-wide exponent blocks (``tmax // BLOCK + 1``).
     blocked:
         ``(nblocks, 2^nbits)`` int64 plane: ``msig << (texp % BLOCK)``
-        gated to the code's ``texp // BLOCK`` row.
-    sorted_values, sorted_codes:
-        The kernel's sorted finite codebook and the code of each entry.
-    mid_floats:
-        Exact float64 midpoints between adjacent codebook values, each
-        with at most ``MID_SIG_BITS_MAX`` significant bits (checked).
-    mid_top:
-        ``|mid| < 2^mid_top`` for every midpoint.
+        gated to the code's ``texp // BLOCK`` row, where ``nblocks`` is
+        the number of ``BLOCK``-wide exponent blocks the codes span.
+    block_of:
+        Each code's exponent block, ``texp // BLOCK``.
     """
 
     def __init__(self, fmt):
-        from ..kernels import kernel_for
-
         self.fmt = fmt
-        self.name = fmt.name
-        kernel = kernel_for(fmt)
-        self.sorted_values = kernel.values
-        self.sorted_codes = kernel.codes
-        self.mid_floats = (self.sorted_values[1:] + self.sorted_values[:-1]) / 2.0
-
         ncodes = fmt.ncodes
         sig = np.zeros(ncodes, dtype=object)
         pexp = np.zeros(ncodes, dtype=np.int64)
@@ -121,33 +105,31 @@ class CodePlanes:
         texp = np.zeros(ncodes, dtype=np.int64)
         texp[finite] = pexp[finite] - self.pmin
         self.texp = texp
-        self.tmax = int(texp.max())
 
-        self.nblocks = self.tmax // BLOCK + 1
-        blocked = np.zeros((self.nblocks, ncodes), dtype=np.int64)
+        nblocks = int(texp.max()) // BLOCK + 1
+        blocked = np.zeros((nblocks, ncodes), dtype=np.int64)
         h = texp // BLOCK
         low = texp % BLOCK
         shifted = msig << low
-        for hb in range(self.nblocks):
+        for hb in range(nblocks):
             blocked[hb] = np.where(finite & (h == hb), shifted, 0)
         self.blocked = blocked
         self.block_of = np.where(finite, h, 0).astype(np.int64)
 
-        # the re-encode's precondition: exact, short midpoints, checked as
-        # integer ratios (m == (a + b) / 2 with power-of-two denominators)
-        values = self.sorted_values.tolist()
-        for a, b, m in zip(values, values[1:], self.mid_floats.tolist()):
+        # the re-encode's precondition: the midpoints the format's encoders
+        # compare against are exact and short, checked as integer ratios
+        # (m == (a + b) / 2 with power-of-two denominators)
+        values = fmt.finite_values.tolist()
+        for a, b, m in zip(values, values[1:], fmt._midpoints.tolist()):
             (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
             nm, dm = m.as_integer_ratio()
             odd = abs(nm) // (abs(nm) & -abs(nm)) if nm else 0
             if (2 * nm * da * db != dm * (na * db + nb * da)
                     or odd.bit_length() > MID_SIG_BITS_MAX):
                 raise ValueError(
-                    f"{self.name}: midpoint {m!r} of {a!r} and {b!r} is not "
+                    f"{fmt.name}: midpoint {m!r} of {a!r} and {b!r} is not "
                     f"an exact float64 of at most {MID_SIG_BITS_MAX} "
                     f"significant bits")
-        # |mid| = f * 2^e with f in [0.5, 1)
-        self.mid_top = int(np.frexp(np.abs(self.mid_floats))[1].max(initial=0))
 
     # ------------------------------------------------------------------
     def decode_exact(self, code: int) -> Fraction:

@@ -52,7 +52,7 @@ from .errors import (
 from .gateway import Gateway
 from .health import HealthSupervisor
 from .loadgen import LoadReport, run_closed_loop, run_open_loop
-from .metrics import ServeMetrics, merge_snapshots, percentile
+from .metrics import Histogram, ServeMetrics, merge_snapshots
 from .repository import ModelRepository, ServableSpec, micro_specs, zoo_specs
 from .scheduler import BatchPolicy, BatchingScheduler
 from .service import Backend, InferenceService, execute_batch
@@ -64,7 +64,7 @@ __all__ = [
     "OverloadedError", "CircuitOpenError", "DrainingError",
     "BadRequestError", "GatewayTimeoutError",
     "error_from_entry",
-    "ServeMetrics", "percentile", "merge_snapshots",
+    "Histogram", "ServeMetrics", "merge_snapshots",
     "ModelRepository", "ServableSpec", "zoo_specs", "micro_specs",
     "BatchPolicy", "BatchingScheduler",
     "Backend", "InferenceService", "execute_batch",

@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import DeadlineExceededError, QueueFullError, ServeError
-from .metrics import percentile
+from .metrics import Histogram
 from .service import Backend
 
 __all__ = ["LoadReport", "run_closed_loop", "run_open_loop"]
@@ -44,7 +44,7 @@ class LoadReport:
     deadline: int = 0             # deadline expiries
     failed: int = 0               # other structured failures
     elapsed_s: float = 0.0
-    latencies_ms: list[float] = field(default_factory=list)
+    latency_ms: Histogram = field(default_factory=Histogram)
     metrics: dict = field(default_factory=dict)
 
     @property
@@ -52,16 +52,14 @@ class LoadReport:
         return self.ok / self.elapsed_s if self.elapsed_s > 0 else 0.0
 
     def to_dict(self) -> dict:
-        """JSON-ready summary (latency reservoir reduced to percentiles).
+        """JSON-ready summary (latency histogram reduced to percentiles).
 
         The open loop records no client-side latencies (its dispatch
         thread never blocks per request), so it reports the service's
         own enqueue-to-completion percentiles instead.
         """
-        if self.latencies_ms:
-            lat = {"p50": percentile(self.latencies_ms, 50),
-                   "p95": percentile(self.latencies_ms, 95),
-                   "p99": percentile(self.latencies_ms, 99)}
+        if self.latency_ms.count:
+            lat = {f"p{q}": self.latency_ms.quantile(q) for q in (50, 95, 99)}
         else:
             served = self.metrics.get("latency_ms", {})
             lat = {q: served.get(q, 0.0) for q in ("p50", "p95", "p99")}
@@ -92,7 +90,7 @@ def _record(report: LoadReport, lock: threading.Lock, outcome: str,
     with lock:
         setattr(report, outcome, getattr(report, outcome) + 1)
         if latency_ms is not None:
-            report.latencies_ms.append(latency_ms)
+            report.latency_ms.record(latency_ms)
 
 
 def run_closed_loop(service: Backend, model: str,

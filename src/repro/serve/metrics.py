@@ -1,31 +1,130 @@
-"""Thread-safe serving metrics: latency percentiles, queue depth, batches.
+"""Thread-safe serving metrics: latency quantiles, queue depth, batches.
 
 One :class:`ServeMetrics` instance is shared by the scheduler, its
 workers and the load generator.  Everything is recorded under a single
 lock (the recorded quantities are tiny compared to a forward pass), and
-:meth:`snapshot` returns a plain-JSON dict so the numbers flow straight
-into ``BENCH_serve.json`` and ``repro serve --stats``.
+:meth:`ServeMetrics.snapshot` returns a plain-JSON dict so the numbers
+flow straight into ``BENCH_serve.json`` and ``repro serve --stats``.
+
+Latency and queue wait go into a :class:`Histogram` with log buckets of
+a fixed relative accuracy (DDSketch, Masson et al., VLDB 2019), so the
+state of an instance is bounded at any uptime and a snapshot carries its
+bucket counts: :func:`merge_snapshots` adds buckets, which makes a fleet
+snapshot equal to the snapshot of one instance that saw every request.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 
-import numpy as np
+__all__ = ["RELATIVE_ACCURACY", "Histogram", "ServeMetrics", "merge_snapshots"]
 
-__all__ = ["ServeMetrics", "percentile", "merge_snapshots"]
+#: every reported quantile lies within this fraction of the sample at
+#: its rank
+RELATIVE_ACCURACY = 0.01
+_GAMMA = (1 + RELATIVE_ACCURACY) / (1 - RELATIVE_ACCURACY)
+_LOG_GAMMA = math.log(_GAMMA)
+
+_COUNTERS = ("submitted", "completed", "rejected", "expired", "failed",
+             "retried_batches")
 
 
-def percentile(samples: list[float], q: float) -> float:
-    """The ``q``-th percentile (nearest-rank on sorted samples); 0.0 if empty."""
-    if not samples:
-        return 0.0
-    return float(np.percentile(np.asarray(samples, dtype=np.float64), q))
+class Histogram:
+    """Sparse log-bucketed histogram with exact count, min and max.
+
+    A sample ``x > 0`` lands in bucket ``i = ceil(log_gamma(x))``, which
+    covers ``(gamma^(i-1), gamma^i]``; the bucket's representative
+    ``2 gamma^i / (gamma + 1)`` is within :data:`RELATIVE_ACCURACY` of
+    every value in it.  Samples ``<= 0`` share one zero bucket.  Merging
+    adds bucket counts, so a merge is the histogram of the union.
+    """
+
+    __slots__ = ("count", "zero", "min", "max", "buckets")
+
+    def __init__(self):
+        self.count = 0
+        self.zero = 0
+        self.min = math.inf
+        self.max = -math.inf
+        self.buckets: dict[int, int] = {}
+
+    def record(self, x: float) -> None:
+        self.count += 1
+        if x < self.min:
+            self.min = x
+        if x > self.max:
+            self.max = x
+        if x > 0:
+            i = math.ceil(math.log(x) / _LOG_GAMMA)
+            self.buckets[i] = self.buckets.get(i, 0) + 1
+        else:
+            self.zero += 1
+
+    def add(self, d: dict) -> None:
+        """Fold in another histogram, given in its :meth:`to_dict` form."""
+        if d["count"]:
+            self.count += d["count"]
+            self.zero += d["zero"]
+            self.min = min(self.min, d["min"])
+            self.max = max(self.max, d["max"])
+            for i, n in d["buckets"].items():
+                self.buckets[int(i)] = self.buckets.get(int(i), 0) + n
+
+    def quantile(self, q: float) -> float:
+        """The ``q``-th percentile: within :data:`RELATIVE_ACCURACY` of the
+        sample at nearest rank ``q/100 * (count - 1)``, clamped to
+        ``[min, max]``; 0.0 if empty."""
+        if not self.count:
+            return 0.0
+        rank = math.floor(q / 100 * (self.count - 1) + 0.5)
+        seen = self.zero
+        value = 0.0
+        if rank >= seen:
+            for i in sorted(self.buckets):
+                seen += self.buckets[i]
+                if seen > rank:
+                    value = 2 * _GAMMA ** i / (_GAMMA + 1)
+                    break
+        return min(max(value, self.min), self.max)
+
+    def to_dict(self) -> dict:
+        """Plain-JSON form (bucket indices as strings), for snapshots."""
+        return {"count": self.count, "zero": self.zero,
+                "min": self.min if self.count else 0.0,
+                "max": self.max if self.count else 0.0,
+                "buckets": {str(i): n for i, n in sorted(self.buckets.items())}}
+
+
+def _report(counters: dict, throughput_rps: float, latency: Histogram,
+            wait: Histogram, depth_sum: int, depth_max: int,
+            batch_sizes: dict[int, int]) -> dict:
+    """The snapshot dict of one instance's (or a merged fleet's) state."""
+    batches = sum(batch_sizes.values())
+    submitted = counters["submitted"]
+    return {
+        **counters,
+        "throughput_rps": throughput_rps,
+        "latency_ms": {"p50": latency.quantile(50),
+                       "p95": latency.quantile(95),
+                       "p99": latency.quantile(99),
+                       "max": latency.max if latency.count else 0.0},
+        "wait_ms": {"p50": wait.quantile(50), "p95": wait.quantile(95)},
+        # one depth per submit: its mean is over ``submitted``
+        "queue_depth": {"mean": depth_sum / submitted if submitted else 0.0,
+                        "max": depth_max, "sum": depth_sum},
+        "batch_size_histogram": {str(k): v for k, v
+                                 in sorted(batch_sizes.items())},
+        "mean_batch_size": (sum(k * v for k, v in batch_sizes.items())
+                            / max(batches, 1)),
+        "histograms": {"latency_ms": latency.to_dict(),
+                       "wait_ms": wait.to_dict()},
+    }
 
 
 class ServeMetrics:
-    """Counters and reservoirs for one service lifetime."""
+    """Counters and histograms for one service lifetime."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -36,10 +135,11 @@ class ServeMetrics:
         self.expired = 0        # deadline passed before execution
         self.failed = 0         # structured execution failures
         self.retried_batches = 0
-        self.latencies_ms: list[float] = []   # enqueue -> completion
-        self.wait_ms: list[float] = []        # enqueue -> batch pickup
+        self.latency_ms = Histogram()   # enqueue -> completion
+        self.wait_ms = Histogram()      # enqueue -> batch pickup
         self.batch_sizes: dict[int, int] = {}
-        self.queue_depths: list[int] = []
+        self.depth_sum = 0              # queue depth seen by each submit
+        self.depth_max = 0
 
     # ------------------------------------------------------------------
     # recording (called by scheduler / workers)
@@ -47,7 +147,9 @@ class ServeMetrics:
     def on_submit(self, queue_depth: int) -> None:
         with self._lock:
             self.submitted += 1
-            self.queue_depths.append(queue_depth)
+            self.depth_sum += queue_depth
+            if queue_depth > self.depth_max:
+                self.depth_max = queue_depth
 
     def on_reject(self) -> None:
         with self._lock:
@@ -60,7 +162,8 @@ class ServeMetrics:
     def on_batch(self, size: int, wait_ms: list[float]) -> None:
         with self._lock:
             self.batch_sizes[size] = self.batch_sizes.get(size, 0) + 1
-            self.wait_ms.extend(wait_ms)
+            for w in wait_ms:
+                self.wait_ms.record(w)
 
     def on_retry(self) -> None:
         with self._lock:
@@ -69,7 +172,7 @@ class ServeMetrics:
     def on_complete(self, latency_ms: float) -> None:
         with self._lock:
             self.completed += 1
-            self.latencies_ms.append(latency_ms)
+            self.latency_ms.record(latency_ms)
 
     def on_fail(self) -> None:
         with self._lock:
@@ -78,48 +181,19 @@ class ServeMetrics:
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
-    def snapshot(self, samples: bool = False) -> dict:
+    def snapshot(self) -> dict:
         """A plain-JSON summary of everything recorded so far.
 
-        With ``samples=True`` the raw latency/wait/depth reservoirs ride
-        along under a ``"samples"`` key, so a remote aggregator
-        (:func:`merge_snapshots`) can pool them and compute *exact*
-        fleet-wide percentiles — percentiles of a union cannot be
-        derived from per-process percentiles.
+        It carries the histograms' bucket counts under ``"histograms"``
+        (a few hundred entries at any uptime), which is what
+        :func:`merge_snapshots` adds up across processes.
         """
         with self._lock:
             elapsed = max(time.monotonic() - self.started, 1e-9)
-            lat = list(self.latencies_ms)
-            depths = list(self.queue_depths)
-            out = {
-                "submitted": self.submitted,
-                "completed": self.completed,
-                "rejected": self.rejected,
-                "expired": self.expired,
-                "failed": self.failed,
-                "retried_batches": self.retried_batches,
-                "throughput_rps": self.completed / elapsed,
-                "latency_ms": {
-                    "p50": percentile(lat, 50),
-                    "p95": percentile(lat, 95),
-                    "p99": percentile(lat, 99),
-                    "max": max(lat, default=0.0),
-                },
-                "wait_ms": {"p50": percentile(self.wait_ms, 50),
-                            "p95": percentile(self.wait_ms, 95)},
-                "queue_depth": {"mean": (sum(depths) / len(depths)) if depths else 0.0,
-                                "max": max(depths, default=0)},
-                "batch_size_histogram": {str(k): v for k, v
-                                         in sorted(self.batch_sizes.items())},
-                "mean_batch_size": (
-                    sum(k * v for k, v in self.batch_sizes.items())
-                    / max(sum(self.batch_sizes.values()), 1)),
-            }
-            if samples:
-                out["samples"] = {"latencies_ms": lat,
-                                  "wait_ms": list(self.wait_ms),
-                                  "queue_depths": depths}
-            return out
+            return _report({k: getattr(self, k) for k in _COUNTERS},
+                           self.completed / elapsed, self.latency_ms,
+                           self.wait_ms, self.depth_sum, self.depth_max,
+                           self.batch_sizes)
 
     def render(self) -> str:
         """Human-readable stats block (``repro serve --stats``)."""
@@ -150,55 +224,24 @@ class ServeMetrics:
 def merge_snapshots(snapshots: list[dict]) -> dict:
     """Fleet-wide aggregate of per-process :meth:`ServeMetrics.snapshot` dicts.
 
-    Counter fields (submitted/completed/rejected/expired/failed/retried
-    batches, throughput) sum exactly; batch-size histograms merge by
-    summing buckets.  Latency/wait percentiles are recomputed from the
-    pooled raw samples when every snapshot carries them
-    (``snapshot(samples=True)`` — the shard workers ship theirs over the
-    result pipe), which makes the fleet p50/p95/p99 *exact*, identical
-    to what one process recording every request would report.  When any
-    snapshot lacks samples the percentiles degrade to the max over
-    processes — an upper bound — and the result is flagged with
-    ``"percentiles_exact": False`` rather than silently pretending.
+    Counters, throughput, queue-depth sums and batch-size histograms
+    sum; latency and wait histograms add bucket counts.  Every field but
+    ``throughput_rps`` and ``shards`` therefore equals the snapshot of
+    one instance that recorded every request; quantiles hold the
+    histogram's :data:`RELATIVE_ACCURACY`.
     """
     snapshots = [s for s in snapshots if s]
-    counters = ["submitted", "completed", "rejected", "expired", "failed",
-                "retried_batches"]
-    out: dict = {k: sum(int(s.get(k, 0)) for s in snapshots) for k in counters}
-    out["shards"] = len(snapshots)
-    out["throughput_rps"] = sum(float(s.get("throughput_rps", 0.0))
-                                for s in snapshots)
-    exact = bool(snapshots) and all("samples" in s for s in snapshots)
-    out["percentiles_exact"] = exact
-    if exact:
-        lat = [x for s in snapshots for x in s["samples"]["latencies_ms"]]
-        wait = [x for s in snapshots for x in s["samples"]["wait_ms"]]
-        depths = [x for s in snapshots for x in s["samples"]["queue_depths"]]
-        out["latency_ms"] = {"p50": percentile(lat, 50),
-                             "p95": percentile(lat, 95),
-                             "p99": percentile(lat, 99),
-                             "max": max(lat, default=0.0)}
-        out["wait_ms"] = {"p50": percentile(wait, 50),
-                          "p95": percentile(wait, 95)}
-        out["queue_depth"] = {
-            "mean": (sum(depths) / len(depths)) if depths else 0.0,
-            "max": max(depths, default=0)}
-    else:
-        def _bound(section: str, field: str) -> float:
-            return max((float(s.get(section, {}).get(field, 0.0))
-                        for s in snapshots), default=0.0)
-        out["latency_ms"] = {f: _bound("latency_ms", f)
-                             for f in ("p50", "p95", "p99", "max")}
-        out["wait_ms"] = {f: _bound("wait_ms", f) for f in ("p50", "p95")}
-        out["queue_depth"] = {"mean": _bound("queue_depth", "mean"),
-                              "max": int(_bound("queue_depth", "max"))}
-    hist: dict[str, int] = {}
+    latency, wait = Histogram(), Histogram()
+    batch_sizes: dict[int, int] = {}
     for s in snapshots:
-        for k, v in s.get("batch_size_histogram", {}).items():
-            hist[k] = hist.get(k, 0) + int(v)
-    out["batch_size_histogram"] = {k: hist[k]
-                                   for k in sorted(hist, key=int)}
-    total = sum(hist.values())
-    out["mean_batch_size"] = (sum(int(k) * v for k, v in hist.items()) / total
-                              if total else 0.0)
+        latency.add(s["histograms"]["latency_ms"])
+        wait.add(s["histograms"]["wait_ms"])
+        for k, v in s["batch_size_histogram"].items():
+            batch_sizes[int(k)] = batch_sizes.get(int(k), 0) + v
+    out = _report({k: sum(s[k] for s in snapshots) for k in _COUNTERS},
+                  sum(s["throughput_rps"] for s in snapshots), latency, wait,
+                  sum(s["queue_depth"]["sum"] for s in snapshots),
+                  max((s["queue_depth"]["max"] for s in snapshots), default=0),
+                  batch_sizes)
+    out["shards"] = len(snapshots)
     return out

@@ -285,7 +285,7 @@ def _shard_worker_main(conn) -> None:
             service = state["service"]
             payload = None if service is None else {
                 "pid": os.getpid(),
-                "metrics": service.metrics.snapshot(samples=True),
+                "metrics": service.metrics.snapshot(),
                 "repository": service.repository.stats(),
                 "queue_depth": service.scheduler.queue_depth(),
             }
@@ -657,13 +657,12 @@ class ShardRouter(Backend):
             pass  # already dead: the collector is reviving it
 
     def stats(self, timeout: float = 30.0) -> dict:
-        """Fleet-wide stats: exact merged percentiles + per-shard detail.
+        """Fleet-wide stats: merged histograms + per-shard detail.
 
-        Each worker ships its metrics snapshot *with raw samples* over
-        the result pipe; :func:`merge_snapshots` pools them, so the
-        fleet p50/p95/p99 equal what a single process observing every
-        request would report.  Per-shard entries keep their queue depth
-        and counters (samples are stripped after merging).
+        Each worker ships its metrics snapshot, bucket counts included,
+        over the result pipe; :func:`merge_snapshots` adds the buckets,
+        so the fleet numbers equal what a single process observing every
+        request would report.
         """
         per_shard = [{"slot": slot, "pid": self._workers[slot].pid,
                       "stats": snap}
@@ -671,9 +670,6 @@ class ShardRouter(Backend):
                                                                timeout))]
         fleet = merge_snapshots([e["stats"]["metrics"] for e in per_shard
                                  if e["stats"]])
-        for e in per_shard:   # samples served their purpose; keep output lean
-            if e["stats"]:
-                e["stats"]["metrics"].pop("samples", None)
         return {"shards": len(self._workers),
                 "respawns": self.respawns,
                 "router": self.metrics.snapshot(),
@@ -686,7 +682,6 @@ class ShardRouter(Backend):
         """Human-readable fleet block (``repro serve --stats --shards N``)."""
         s = self.stats()
         fleet = s["fleet"]
-        exact = "exact" if fleet.get("percentiles_exact") else "upper-bound"
         lines = [
             f"shard fleet  {s['shards']} shards  {s['respawns']} respawns",
             f"  requests    submitted {fleet['submitted']}"
@@ -694,7 +689,7 @@ class ShardRouter(Backend):
             f"  expired {fleet['expired']}  failed {fleet['failed']}",
             f"  latency ms  p50 {fleet['latency_ms']['p50']:.2f}"
             f"  p95 {fleet['latency_ms']['p95']:.2f}"
-            f"  p99 {fleet['latency_ms']['p99']:.2f}  ({exact})",
+            f"  p99 {fleet['latency_ms']['p99']:.2f}",
             f"  batches     mean size {fleet['mean_batch_size']:.2f}",
         ]
         for e in s["per_shard"]:

@@ -34,7 +34,7 @@ def test_bench_serve_fast_mode(tmp_path):
         for loop in ("closed_loop", "open_loop"):
             assert s[loop]["ok"] == s[loop]["requests"]
             assert s[loop]["throughput_rps"] > 0
-        assert s["fleet"]["percentiles_exact"] is True
+        assert s["fleet"]["shards"] == int(n), "every shard answered stats"
         assert isinstance(s["cpu_limited"], bool)
 
 

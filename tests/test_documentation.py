@@ -132,7 +132,7 @@ class TestShardDocs:
         assert "## 13. Sharded serving (`serve.shard` + `serve.shm`)" in text
         for term in ("HashRing", "attach-or-recalibrate", "SHA-256",
                      "64-byte", "Exactly-once", "merge_snapshots",
-                     "percentiles_exact"):
+                     "RELATIVE_ACCURACY"):
             assert term in text, f"DESIGN.md shard section lacks {term}"
 
     def test_design_fault_table_lists_shard_scope(self):

@@ -11,8 +11,9 @@ Tier-1 runs a small per-format sample (gate-level restricted to the
 paper's three formats and short streams); the ``slow`` marker gates the
 larger sweeps.  Beyond random streams, adversarial cases pin the exact
 re-encode where it can go wrong: dots whose exact sum is a codebook
-midpoint or one accumulator lsb either side of it, both re-encoders
-driven directly on totals at ``floor(mid)`` and ``floor(mid) + 1``, a
+midpoint or one accumulator lsb either side of it, both float64 proxies
+of the accumulator rounded by ``encode_array`` under both kernel
+backends on totals at ``floor(mid)`` and ``floor(mid) + 1``, a
 contraction one past the int64 chunk threshold, and mixed
 ``fmt_b``/``out_fmt`` triples against a ``Fraction`` reference.
 """
@@ -23,6 +24,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.engine import dot_exact, kulisch, matmul_exact, planes_for, qdot, qmatmul
 from repro.engine import planes as planes_mod
 from repro.formats import PAPER_FORMATS, get_format, registered_formats
@@ -32,6 +34,7 @@ from repro.hardware.mac import MacUnit
 pytestmark = pytest.mark.engine
 
 ALL_FORMATS = [fmt.name for fmt in registered_formats()]
+BACKENDS = ["lut", "reference"]
 
 
 def _finite_codes(fmt):
@@ -198,7 +201,7 @@ def _near_midpoint_dots(fmt):
     either side) instead.
     """
     planes = planes_for(fmt)
-    vals, codes = planes.sorted_values, planes.sorted_codes
+    vals, codes = fmt._sorted_codes
     minpos = vals[vals > 0][0]
     assert Fraction(minpos) ** 2 == Fraction(2) ** (2 * planes.pmin)
     lsb_terms = [_code_of(fmt, -minpos), _code_of(fmt, 0.0), _code_of(fmt, minpos)]
@@ -244,25 +247,33 @@ def test_reencoders_pin_floor_midpoint_totals(fmt_name):
     """Totals at ``floor(mid)``, ``floor(mid) + 1`` and one either side,
     on accumulator grids coarser and finer than the midpoints.
 
-    ``_encode_int64`` compares integers against floored midpoints (INT8:
-    ``lsb = 0``, half-integer midpoints, no ties possible);
-    ``_encode_window`` sees the same totals as carry-normalised limbs.
-    Both must agree with ``_round_to_code`` on every total.
+    Both float64 proxies of a total go through ``encode_array`` under
+    both kernel backends: the total itself, cast exactly when it has at
+    most 53 bits (INT8: ``lsb = 0``, half-integer midpoints, no ties
+    possible), and the leading window of the same totals as
+    carry-normalised limbs.  Both must agree with ``_round_to_code`` on
+    every total.
     """
     fmt = get_format(fmt_name)
     po = planes_for(fmt)
-    mids = [(Fraction(x) + Fraction(y)) / 2
-            for x, y in zip(po.sorted_values, po.sorted_values[1:])]
+    values, _ = fmt._sorted_codes
+    mids = [(Fraction(x) + Fraction(y)) / 2 for x, y in zip(values, values[1:])]
     for lsb in sorted({2 * po.pmin, po.pmin, po.pmin + 3, 0, 2}):
         totals = sorted({f + d for m in mids
                          for f in [int(m / Fraction(2) ** lsb // 1)]
                          for d in (-1, 0, 1, 2)})
         want = [_round_to_code(fmt, Fraction(t) * Fraction(2) ** lsb) for t in totals]
-        window = kulisch._encode_window(po, _limbs_of(totals), lsb)[:, 0]
-        assert window.tolist() == want, f"window, lsb={lsb}"
-        if po.mid_top - lsb <= 62:
-            got = kulisch._encode_int64(po, np.array(totals, dtype=np.int64), lsb)
-            assert got.tolist() == want, f"int64, lsb={lsb}"
+        window = kulisch._window_floats(_limbs_of(totals), lsb)[:, 0]
+        short = [j for j, t in enumerate(totals) if abs(t) < 1 << 53]
+        exact = np.ldexp(kulisch._combine_int64(
+            _limbs_of([totals[j] for j in short])).astype(np.float64), lsb)[:, 0]
+        for backend in BACKENDS:
+            with kernels.use_backend(backend):
+                got = fmt.encode_array(window)
+                assert got.tolist() == want, f"window, lsb={lsb}, {backend}"
+                got = fmt.encode_array(exact)
+                assert got.tolist() == [want[j] for j in short], (
+                    f"total, lsb={lsb}, {backend}")
 
 
 def test_int8_contraction_one_past_the_chunk_threshold():
@@ -311,7 +322,7 @@ def test_mixed_format_triples_match_exact_rational(fa_name, fb_name, fo_name):
 
     def banded(fmt, shape):
         """Codes within a few dozen codebook steps of a random value."""
-        codes = planes_for(fmt).sorted_codes
+        _, codes = fmt._sorted_codes
         c = int(rng.integers(len(codes)))
         lo, hi = max(c - 24, 0), min(c + 24, len(codes))
         return codes[rng.integers(lo, hi, shape)]
@@ -352,9 +363,8 @@ def test_registry_midpoints_meet_the_window_precondition():
     bits (Posit(8,3) has the widest), far inside the window's 2*BLOCK + 1."""
     widest = {}
     for name in ALL_FORMATS:
-        po = planes_for(get_format(name))
         bits = 0
-        for m in po.mid_floats:
+        for m in get_format(name)._midpoints:
             num = abs(Fraction(float(m)).numerator)
             bits = max(bits, (num // (num & -num)).bit_length() if num else 0)
         widest[name] = bits

@@ -38,33 +38,39 @@ def test_quantize_cached_concurrent_rebind_never_serves_a_stale_mix():
     weight = Tensor(rng.normal(size=(24, 24)))
     q = FakeQuantizer(FMT, axis=0)
     q.calibrate(weight.data)
-    # precompute the valid plane per version the rebinder will install
-    datas = [rng.normal(size=(24, 24)) for _ in range(6)]
-    valid = {0: q(weight.data).astype(np.float32)}
+    # the valid plane of every version the rebinder will install,
+    # registered before any hammer thread reads the table
+    datas = [weight.data] + [rng.normal(size=(24, 24)) for _ in range(6)]
+    valid = [q(d).astype(np.float32) for d in datas]
 
     stop = threading.Event()
-    bad = []
+    bad, errors, checks = [], [], [0] * 6
 
-    def hammer():
-        while not stop.is_set():
-            out = q.quantize_cached(weight)
-            if not any(np.array_equal(out, v) for v in valid.values()):
-                bad.append(out)
-                return
+    def hammer(slot):
+        try:
+            while not stop.is_set():
+                out = q.quantize_cached(weight)
+                if not any(np.array_equal(out, v) for v in valid):
+                    bad.append(out)
+                    return
+                checks[slot] += 1
+        except Exception as exc:  # a dead checker must fail the test
+            errors.append(exc)
 
-    threads = [threading.Thread(target=hammer) for _ in range(6)]
+    threads = [threading.Thread(target=hammer, args=(i,)) for i in range(6)]
     for t in threads:
         t.start()
-    for i, d in enumerate(datas, start=1):
-        valid[i] = q(d).astype(np.float32)  # register before it's visible
+    for d in datas[1:]:
         weight.data = d                     # setter bumps the version
     stop.set()
     for t in threads:
-        t.join()
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, f"a hammer thread died: {errors[0]!r}"
+    assert all(checks), f"a hammer thread checked nothing: {checks}"
     assert not bad, "quantize_cached returned a plane matching no version"
     # once quiet, the cache must converge on the final plane
-    np.testing.assert_array_equal(q.quantize_cached(weight),
-                                  valid[len(datas)])
+    np.testing.assert_array_equal(q.quantize_cached(weight), valid[-1])
 
 
 def test_quantize_cached_toctou_regression():

@@ -1,33 +1,41 @@
-"""Fleet metrics aggregation: exact percentiles under concurrent writers.
+"""Fleet metrics aggregation: bounded histograms under concurrent writers.
 
 ``repro serve --stats`` at N shards reports fleet-wide p50/p95/p99 by
-pooling the *raw sample reservoirs* each worker ships with its snapshot
-(:func:`repro.serve.merge_snapshots`) — percentiles of a union cannot be
-derived from per-process percentiles.  These tests pin the two
-correctness properties that makes the fleet numbers trustworthy:
+adding the log-bucket counts each worker ships with its snapshot
+(:func:`repro.serve.merge_snapshots`).  These tests pin the properties
+that make the fleet numbers trustworthy:
 
-* recording from many concurrent writers loses no samples and yields
-  exactly ``np.percentile`` of everything recorded;
-* merging per-shard snapshots of a partitioned stream equals one
-  instance that recorded the whole stream — and when any shard omits
-  its samples, the merge *says so* (``percentiles_exact: False``)
-  instead of silently reporting an upper bound as the truth.
+* recording from many concurrent writers loses no samples: counts are
+  exact and every quantile lies within ``RELATIVE_ACCURACY`` of the
+  samples at its rank;
+* merging per-shard snapshots of a partitioned stream equals, field for
+  field, one instance that recorded the whole stream;
+* the state behind a snapshot is bounded: memory and the pickled
+  snapshot stop growing with the requests recorded.
 
 The health probe is the other way metrics could cross the pipe; it must
 not: a ``ping`` reply is one bool per shard, so its cost does not grow
 with the requests a worker has recorded.
 """
 
+import gc
+import json
+import math
+import pickle
+import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.serve import (
-    ServeMetrics, ShardRouter, merge_snapshots, micro_specs, percentile,
-)
+from repro.serve import Histogram, ServeMetrics, ShardRouter, merge_snapshots, micro_specs
+from repro.serve.metrics import RELATIVE_ACCURACY
 
 pytestmark = pytest.mark.shard
+
+#: slack for the float rounding of a bucket index at a bucket boundary
+_EPS = 1e-9
 
 
 def _record(metrics, latencies, depth=1):
@@ -36,61 +44,88 @@ def _record(metrics, latencies, depth=1):
         metrics.on_complete(float(lat))
 
 
-def test_concurrent_writers_lose_no_samples_and_percentiles_are_exact():
-    """8 threads hammering one instance: counters and percentiles equal
-    a single-writer ground truth over the union of all samples."""
+def _serve(metrics, latency, wait, depth):
+    """The calls the scheduler makes for one request in a batch of one."""
+    metrics.on_submit(depth)
+    metrics.on_batch(1, [wait])
+    metrics.on_complete(latency)
+
+
+def _assert_within_accuracy(got, samples, q):
+    """``got`` is within the accuracy of the samples bracketing rank
+    ``q/100 * (n - 1)``."""
+    s = np.sort(np.asarray(samples, dtype=np.float64))
+    r = q / 100 * (s.size - 1)
+    lo, hi = s[math.floor(r)], s[math.ceil(r)]
+    alpha = RELATIVE_ACCURACY * (1 + _EPS)
+    assert lo * (1 - alpha) <= got <= hi * (1 + alpha), (
+        f"p{q} = {got} outside [{lo}, {hi}] +/- {RELATIVE_ACCURACY:.0%}")
+
+
+def _fields(snap):
+    """Every snapshot field a merge must reproduce exactly."""
+    return {k: v for k, v in snap.items() if k not in ("throughput_rps", "shards")}
+
+
+def test_concurrent_writers_lose_no_samples_and_quantiles_hold_the_accuracy():
+    """8 threads hammering one instance: counters are exact, quantiles lie
+    within the accuracy, and the histograms equal one writer's."""
     rng = np.random.default_rng(42)
     per_thread = [rng.uniform(0.1, 50.0, size=200) for _ in range(8)]
     metrics = ServeMetrics()
     threads = [threading.Thread(target=_record, args=(metrics, lats))
                for lats in per_thread]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    snap = metrics.snapshot(samples=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # interleave the writers finely
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    snap = metrics.snapshot()
     everything = np.concatenate(per_thread)
     assert snap["submitted"] == snap["completed"] == everything.size
-    assert len(snap["samples"]["latencies_ms"]) == everything.size
+    assert snap["histograms"]["latency_ms"]["count"] == everything.size
+    assert snap["latency_ms"]["max"] == everything.max()
     for q in (50, 95, 99):
-        assert snap["latency_ms"][f"p{q}"] == pytest.approx(
-            float(np.percentile(everything, q)), abs=0.0), (
-            f"p{q} diverged from np.percentile over the union")
+        _assert_within_accuracy(snap["latency_ms"][f"p{q}"], everything, q)
+    single = ServeMetrics()
+    _record(single, everything)
+    assert _fields(snap) == _fields(single.snapshot())
 
 
 def test_merge_of_partitioned_stream_equals_single_instance():
-    """Shard the stream 3 ways, merge the snapshots: byte-equal
-    percentiles and counters to one instance that saw everything."""
+    """Shard the stream 3 ways, merge the snapshots: every field but
+    throughput equals one instance that saw everything, also after the
+    snapshots cross a JSON wire."""
     rng = np.random.default_rng(7)
     stream = rng.uniform(0.5, 80.0, size=999)
+    waits = rng.uniform(0.0, 5.0, size=999)
     whole = ServeMetrics()
-    _record(whole, stream)
     shards = [ServeMetrics() for _ in range(3)]
-    for i, lat in enumerate(stream):
-        _record(shards[i % 3], [lat], depth=1 + (i % 4))
-    merged = merge_snapshots([s.snapshot(samples=True) for s in shards])
-    reference = whole.snapshot(samples=True)
-    assert merged["percentiles_exact"] is True
-    assert merged["shards"] == 3
-    for field in ("submitted", "completed", "rejected", "expired", "failed"):
-        assert merged[field] == reference[field]
-    for q in ("p50", "p95", "p99", "max"):
-        assert merged["latency_ms"][q] == reference["latency_ms"][q], (
-            f"fleet {q} != single-instance {q}")
-
-
-def test_merge_without_samples_degrades_honestly():
-    """A snapshot stripped of samples can only bound the fleet
-    percentiles — the merge must flag that, not fake exactness."""
-    a, b = ServeMetrics(), ServeMetrics()
-    _record(a, [1.0, 2.0, 3.0])
-    _record(b, [10.0, 20.0, 30.0])
-    merged = merge_snapshots([a.snapshot(samples=True), b.snapshot()])
-    assert merged["percentiles_exact"] is False
-    # upper-bound semantics: the max over shards, never an average
-    assert merged["latency_ms"]["p50"] == max(
-        a.snapshot()["latency_ms"]["p50"], b.snapshot()["latency_ms"]["p50"])
-    assert merged["submitted"] == 6   # counters still sum exactly
+    for i, (lat, wait) in enumerate(zip(stream, waits)):
+        _serve(whole, lat, wait, 1 + i % 4)
+        _serve(shards[i % 3], lat, wait, 1 + i % 4)
+    whole.on_reject()
+    shards[1].on_reject()
+    reference = whole.snapshot()
+    snaps = [s.snapshot() for s in shards]
+    for merged in (merge_snapshots(snaps),
+                   merge_snapshots(json.loads(json.dumps(snaps)))):
+        assert merged["shards"] == 3
+        for field in ("submitted", "completed", "rejected", "expired", "failed"):
+            assert merged[field] == reference[field]
+        for q in ("p50", "p95", "p99", "max"):
+            assert merged["latency_ms"][q] == reference["latency_ms"][q], (
+                f"fleet {q} != single-instance {q}")
+        assert _fields(merged) == _fields(reference)
+    for q in (50, 95, 99):
+        _assert_within_accuracy(reference["latency_ms"][f"p{q}"], stream, q)
+    for q in (50, 95):
+        _assert_within_accuracy(reference["wait_ms"][f"p{q}"], waits, q)
 
 
 def test_merge_pools_histograms_and_counters():
@@ -101,11 +136,11 @@ def test_merge_pools_histograms_and_counters():
     b.on_reject()
     b.on_expire()
     a.on_fail()
-    merged = merge_snapshots([a.snapshot(samples=True),
-                              b.snapshot(samples=True)])
+    merged = merge_snapshots([a.snapshot(), b.snapshot()])
     assert merged["batch_size_histogram"] == {"2": 2, "4": 1}
     assert merged["mean_batch_size"] == pytest.approx(8 / 3)
     assert (merged["rejected"], merged["expired"], merged["failed"]) == (1, 1, 1)
+    assert merged["histograms"]["wait_ms"]["count"] == 8
 
 
 def test_merge_of_nothing_is_empty_but_well_formed():
@@ -113,57 +148,91 @@ def test_merge_of_nothing_is_empty_but_well_formed():
     assert merged["shards"] == 0
     assert merged["submitted"] == 0
     assert merged["latency_ms"]["p50"] == 0.0
-    assert merged["percentiles_exact"] is False
+    assert merged["histograms"]["latency_ms"]["count"] == 0
+    assert merged["queue_depth"] == {"mean": 0.0, "max": 0, "sum": 0}
 
 
-def test_merge_of_single_snapshot_with_samples_is_exact_identity():
-    """Degenerate fleet of one: the merge must be the snapshot itself,
-    and exact (its samples are the whole population)."""
+def test_merge_of_single_snapshot_is_identity():
+    """Degenerate fleet of one: the merge is the snapshot itself."""
     m = ServeMetrics()
     _record(m, [5.0, 1.0, 9.0, 3.0])
-    solo = m.snapshot(samples=True)
+    solo = m.snapshot()
     merged = merge_snapshots([solo])
-    assert merged["percentiles_exact"] is True
     assert merged["shards"] == 1
     for field in ("submitted", "completed", "rejected", "expired", "failed"):
         assert merged[field] == solo[field]
     for q in ("p50", "p95", "p99", "max"):
         assert merged["latency_ms"][q] == solo["latency_ms"][q]
-
-
-def test_merge_of_single_sampleless_snapshot_is_honest_upper_bound():
-    """One snapshot without samples: the numbers pass through but the
-    merge must not claim exactness it cannot verify."""
-    m = ServeMetrics()
-    _record(m, [2.0, 4.0, 6.0])
-    solo = m.snapshot()          # no samples shipped
-    merged = merge_snapshots([solo])
-    assert merged["percentiles_exact"] is False
-    assert merged["latency_ms"]["p50"] == solo["latency_ms"]["p50"]
-    assert merged["submitted"] == 3
+    assert {k: v for k, v in merged.items() if k != "shards"} == solo
 
 
 def test_merge_with_idle_shard_keeps_exactness():
-    """An idle shard (samples present but empty) must not flip the merge
-    to inexact or perturb the busy shard's percentiles."""
+    """An idle shard (empty histograms) must not perturb the busy
+    shard's quantiles."""
     busy, idle = ServeMetrics(), ServeMetrics()
     _record(busy, [1.0, 2.0, 3.0, 4.0])
-    merged = merge_snapshots([busy.snapshot(samples=True),
-                              idle.snapshot(samples=True)])
-    assert merged["percentiles_exact"] is True
+    merged = merge_snapshots([busy.snapshot(), idle.snapshot()])
     assert merged["shards"] == 2
-    ref = busy.snapshot(samples=True)
+    ref = busy.snapshot()
     for q in ("p50", "p95", "p99", "max"):
         assert merged["latency_ms"][q] == ref["latency_ms"][q]
     assert merged["submitted"] == 4
+    assert merged["histograms"] == ref["histograms"]
 
 
-def test_percentile_matches_numpy_on_ties_and_singletons():
-    assert percentile([], 50) == 0.0
-    assert percentile([3.0], 99) == 3.0
+def test_histogram_quantiles_on_ties_and_singletons():
+    empty = Histogram()
+    assert empty.quantile(50) == 0.0
+    one = Histogram()
+    one.record(3.0)
+    assert one.quantile(99) == 3.0      # clamped to [min, max]
     samples = [1.0, 1.0, 1.0, 2.0, 100.0]
+    ties = Histogram()
+    for x in samples:
+        ties.record(x)
+    assert ties.quantile(50) == 1.0
     for q in (50, 95, 99):
-        assert percentile(samples, q) == float(np.percentile(samples, q))
+        _assert_within_accuracy(ties.quantile(q), samples, q)
+    zeros = Histogram()
+    for x in (0.0, 0.0, 5.0):
+        zeros.record(x)
+    assert (zeros.zero, zeros.quantile(50), zeros.quantile(100)) == (2, 0.0, 5.0)
+
+
+def test_metrics_state_is_bounded_by_its_buckets():
+    """10^4 then 10^5 requests into one instance: retained memory and the
+    pickled snapshot grow by less than a fixed bucket budget, and the
+    quantiles still hold the accuracy over every sample."""
+    budget = 64 * 1024
+    rng = np.random.default_rng(3)
+    n = 100_000
+    lat = rng.lognormal(np.log(5.0), 0.8, n).tolist()
+    wait = rng.lognormal(np.log(0.5), 1.0, n).tolist()
+    depth = rng.integers(0, 64, n).tolist()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        metrics = ServeMetrics()
+        sizes = []
+        for lo, hi in ((0, n // 10), (n // 10, n)):
+            for i in range(lo, hi):
+                _serve(metrics, lat[i], wait[i], depth[i])
+            gc.collect()
+            sizes.append((tracemalloc.get_traced_memory()[0],
+                          len(pickle.dumps(metrics.snapshot()))))
+    finally:
+        tracemalloc.stop()
+    (mem_a, pkl_a), (mem_b, pkl_b) = sizes
+    assert mem_b - mem_a < budget, f"retained +{mem_b - mem_a} B over 9x10^4 requests"
+    assert pkl_b - pkl_a < budget, f"snapshot +{pkl_b - pkl_a} B over 9x10^4 requests"
+    snap = metrics.snapshot()
+    assert snap["submitted"] == snap["completed"] == n
+    assert snap["queue_depth"]["max"] == max(depth)
+    assert snap["queue_depth"]["mean"] == sum(depth) / n
+    for q in (50, 95, 99):
+        _assert_within_accuracy(snap["latency_ms"][f"p{q}"], lat, q)
+    for q in (50, 95):
+        _assert_within_accuracy(snap["wait_ms"][f"p{q}"], wait, q)
 
 
 def test_ping_reply_carries_no_metrics():
