@@ -11,7 +11,10 @@ writes them to ``BENCH_engine.json`` at the repo root (override with
 * ``matmul_64`` — throughput: a 64x64 code matmul through ``qmatmul``
   vs the same products through the Fraction reference, per format.  The
   engine is required to be at least 20x faster (it is typically several
-  hundred times faster).
+  hundred times faster).  Engine timings visit the formats round-robin,
+  ``reps`` back-to-back matmuls per format per round over ``rounds``
+  rounds, and keep each format's fastest, so a slow stretch of the host
+  lands on every format alike instead of on whichever ran during it.
 
 Usage::
 
@@ -75,33 +78,40 @@ def bench_fuzz(dots_per_format: int = 1000, max_len: int = 48,
     }
 
 
-def bench_matmul(size: int = 64, repeats: int = 5, seed: int = 0) -> dict:
+def bench_matmul(size: int = 64, rounds: int = 3, reps: int = 40,
+                 seed: int = 0) -> dict:
     """Engine vs Fraction-reference timing of a ``size x size`` matmul."""
     rng = np.random.default_rng(seed)
-    per_format = {}
+    operands = {}
     for fmt in registered_formats():
         planes_for(fmt)  # compile the planes outside the timed region
-        a = rng.integers(0, fmt.ncodes, (size, size))
-        b = rng.integers(0, fmt.ncodes, (size, size))
-        engine_ms = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            c_engine = qmatmul(fmt, a, b)
-            engine_ms.append((time.perf_counter() - t0) * 1e3)
+        operands[fmt.name] = (fmt, rng.integers(0, fmt.ncodes, (size, size)),
+                              rng.integers(0, fmt.ncodes, (size, size)))
+    engine_ms = {name: float("inf") for name in operands}
+    for _ in range(rounds):
+        for name, (fmt, a, b) in operands.items():
+            for _ in range(reps):
+                t0 = time.perf_counter()
+                qmatmul(fmt, a, b)
+                engine_ms[name] = min(engine_ms[name],
+                                      (time.perf_counter() - t0) * 1e3)
+    per_format = {}
+    for name, (fmt, a, b) in operands.items():
         # the reference is ~1000x slower; one run is plenty of signal
         t0 = time.perf_counter()
         c_ref = np.array([[dot(fmt, a[i], b[:, j])[0] for j in range(size)]
                           for i in range(size)])
         reference_ms = (time.perf_counter() - t0) * 1e3
-        per_format[fmt.name] = {
-            "engine_ms": min(engine_ms),
+        per_format[name] = {
+            "engine_ms": engine_ms[name],
             "reference_ms": reference_ms,
-            "speedup": reference_ms / min(engine_ms),
-            "bit_exact": bool(np.array_equal(c_engine, c_ref)),
+            "speedup": reference_ms / engine_ms[name],
+            "bit_exact": bool(np.array_equal(qmatmul(fmt, a, b), c_ref)),
         }
     return {
         "size": size,
-        "repeats": repeats,
+        "rounds": rounds,
+        "reps": reps,
         "seed": seed,
         "per_format": per_format,
         "min_speedup": min(v["speedup"] for v in per_format.values()),
@@ -121,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
     payload = {"host": _host_meta()}
     if args.fast:
         payload["fuzz"] = bench_fuzz(dots_per_format=min(args.dots, 50))
-        payload["matmul_64"] = bench_matmul(size=16, repeats=2)
+        payload["matmul_64"] = bench_matmul(size=16, rounds=2, reps=2)
     else:
         payload["fuzz"] = bench_fuzz(dots_per_format=args.dots)
         payload["matmul_64"] = bench_matmul()

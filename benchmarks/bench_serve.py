@@ -23,8 +23,8 @@ reference path).  Numbers land in ``BENCH_serve.json`` at the repo root
   :class:`~repro.serve.GatewayClient` threads driving it), so the
   framing/serialisation tax of the network front door is measured
   against the in-process ``batched`` numbers.  Carries the same
-  ``cpu_limited`` flag: clients, event loop and scheduler workers all
-  contend for cores on a small host.
+  ``cpu_limited`` flag: clients, the gateway's connection threads and
+  scheduler workers all contend for cores on a small host.
 
 Usage::
 
@@ -200,9 +200,9 @@ def bench_gateway(repository: ModelRepository, requests: int,
 
     Same request stream as the in-process ``batched`` axis, but every
     request pays the wire tax: JSON framing, base64 ndarray codec, and
-    a socket round trip through the asyncio gateway.  ``cpu_limited``
-    is set when the host cannot give the client pool, the event loop
-    and the scheduler workers a core each.
+    a socket round trip through one gateway thread per connection.
+    ``cpu_limited`` is set when the host cannot give the client pool,
+    the gateway's threads and the scheduler workers a core each.
     """
     cpu_limited = (os.cpu_count() or 1) < 4
     policy = BatchPolicy(max_batch=8, max_wait_ms=5.0, queue_depth=256,

@@ -381,7 +381,7 @@ def _serve_gateway(service, args) -> int:
                       drain_timeout_s=args.drain_timeout)
     try:
         gateway.start()
-    except RuntimeError as exc:
+    except OSError as exc:
         service.close(drain=False)
         print(f"gateway failed to start: {exc}")
         return 1

@@ -28,12 +28,15 @@ worker *processes* by consistent hashing on the request key, with the
 expensive read-only state (quantized weight planes, per-layer scales,
 decode-LUT tables) published once by the parent into checksummed
 shared-memory segments (:mod:`repro.serve.shm`) that workers attach
-instead of recalibrating.  The bit-identity guarantee extends across the
+instead of recalibrating; a worker replies to each request the moment
+its future completes.  The bit-identity guarantee extends across the
 process boundary at 1, 2 and 4 shards.
 
 Over the network, :class:`~repro.serve.Gateway` is the hardened TCP
-front door (length-prefixed JSON frames, :mod:`repro.serve.wire`):
-deadline propagation, bounded admission, per-key circuit breakers
+front door (length-prefixed JSON frames, :mod:`repro.serve.wire`),
+serving each client connection on one blocking thread that submits a
+request and waits on its future: deadline propagation, bounded
+admission, per-key circuit breakers
 (:class:`~repro.serve.CircuitBreaker`), background health supervision
 with forced shard respawn (:class:`~repro.serve.HealthSupervisor`) and
 graceful drain.  :class:`~repro.serve.GatewayClient` is the matching

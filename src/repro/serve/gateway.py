@@ -1,4 +1,4 @@
-"""Asyncio TCP front door: the shard fleet made reachable from outside.
+"""Thread-per-connection TCP front door: the shard fleet made reachable from outside.
 
 Everything below :mod:`repro.serve` so far is library-only — a client
 had to import the router to reach it.  :class:`Gateway` owns a
@@ -45,19 +45,21 @@ request a client gets a success for is byte-identical to
 ``infer_serial``, every shed request carries a structured error kind,
 and nothing ever hangs or double-completes.
 
-The asyncio event loop runs in a dedicated thread (``start()``), so the
-gateway embeds in tests, the CLI and benchmarks without owning the
-process's main thread.  Blocking service calls (``submit`` + future
-wait, ``stats``) run on a bounded executor sized to the admission
-window, so the loop thread itself never blocks on the fleet.
+Threading model: ``start()`` binds the listener and starts one accept
+thread; every accepted connection gets one blocking thread that reads a
+frame, calls ``service.submit``, waits on the returned future's
+``.result(timeout)`` and writes the reply, one frame at a time.  The
+traffic is a few long-lived client sockets, so a thread each is cheap,
+and the thread that owns a request is the one that waits for it.
+Every gateway thread is named :data:`THREAD_NAME`, so a profiler can
+attribute wire-codec time to the gateway side by thread name.
 """
 
 from __future__ import annotations
 
-import asyncio
+import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 
 from ..resilience import faults
@@ -76,6 +78,27 @@ __all__ = ["Gateway"]
 #: declares a gateway-timeout (must exceed the router's sweep grace)
 DEADLINE_GRACE_S = 5.0
 
+#: backstop ceiling on one request's service-side wait: a deadline-less
+#: request against a wedged backend must still resolve
+REQUEST_TIMEOUT_S = 120.0
+
+#: circuit-breaker policy per request key (see :class:`BreakerBoard`)
+BREAKER_THRESHOLD = 5
+BREAKER_COOLDOWN_S = 1.0
+
+#: how often the accept thread wakes to check for a requested drain
+ACCEPT_POLL_S = 0.05
+
+#: the name of every gateway thread (accept and per-connection)
+THREAD_NAME = "gateway-loop"
+
+
+def _listen(host: str, port: int) -> socket.socket:
+    """A listening socket on ``host``: an IPv4/IPv6 literal or a name."""
+    family, _, _, _, addr = socket.getaddrinfo(
+        host, port, type=socket.SOCK_STREAM, flags=socket.AI_PASSIVE)[0]
+    return socket.create_server(addr, family=family)
+
 
 class Gateway:
     """TCP front door over one serving backend, which it owns.
@@ -93,53 +116,33 @@ class Gateway:
     max_inflight:
         Admission window: concurrently executing ``infer`` requests
         beyond this are shed with a structured ``overloaded`` reply.
-    request_timeout_s:
-        Backstop ceiling on one request's service-side wait (a
-        deadline-less request against a wedged backend must still
-        resolve).
-    breaker_threshold / breaker_cooldown_s:
-        Circuit-breaker policy per request key.
-    probe_interval_s / probe_timeout_s / escalate_after:
-        Health-supervision policy (see :class:`HealthSupervisor`).
     drain_timeout_s:
-        How long a drain waits for in-flight requests before failing
-        the stragglers structurally.
+        How long a drain waits for in-flight requests before closing
+        their connections.
     """
 
     def __init__(self, service, host: str = "127.0.0.1", port: int = 0, *,
-                 max_inflight: int = 64, request_timeout_s: float = 120.0,
-                 breaker_threshold: int = 5, breaker_cooldown_s: float = 1.0,
-                 probe_interval_s: float = 0.5, probe_timeout_s: float = 2.0,
-                 escalate_after: int = 3, drain_timeout_s: float = 30.0):
+                 max_inflight: int = 64, drain_timeout_s: float = 30.0):
         if max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
         self.service = service
         self.host = host
         self.port = port
         self.max_inflight = max_inflight
-        self.request_timeout_s = request_timeout_s
         self.drain_timeout_s = drain_timeout_s
-        self.breakers = BreakerBoard(breaker_threshold, breaker_cooldown_s)
-        self.supervisor = HealthSupervisor(
-            service, interval_s=probe_interval_s,
-            probe_timeout_s=probe_timeout_s, escalate_after=escalate_after)
-        self._executor = ThreadPoolExecutor(
-            max_workers=max_inflight + 2,
-            thread_name_prefix="gateway-exec")
+        self.breakers = BreakerBoard(BREAKER_THRESHOLD, BREAKER_COOLDOWN_S)
+        self.supervisor = HealthSupervisor(service)
         self._lock = threading.Lock()
-        self._inflight = 0
+        self._inflight = 0      # admitted infer requests
+        self._busy = 0          # frames between receipt and reply
         self._counters: dict[str, int] = {}
         self._error_kinds: dict[str, int] = {}
         self._net_enacted: dict[str, int] = {}
         self._draining = False
         self._drained = threading.Event()   # drain sequence finished
-        self._ready = threading.Event()     # server bound, port known
-        self._loop: asyncio.AbstractEventLoop | None = None
+        self._listener: socket.socket | None = None
         self._thread: threading.Thread | None = None
-        self._server: asyncio.AbstractServer | None = None
-        self._writers: set[asyncio.StreamWriter] = set()
-        self._tasks: set[asyncio.Task] = set()
-        self._start_error: BaseException | None = None
+        self._conns: dict[socket.socket, threading.Thread] = {}
         # post-drain observability: snapshotted before the service closes
         self._final_stats: dict | None = None
         self._final_render: str | None = None
@@ -147,29 +150,24 @@ class Gateway:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def start(self, timeout: float = 30.0) -> "Gateway":
-        """Bind the socket and start serving in a background thread."""
-        if self._thread is not None:
+    def start(self) -> "Gateway":
+        """Bind the socket and start serving in background threads."""
+        if self._listener is not None:
             raise RuntimeError("gateway already started")
-        self._thread = threading.Thread(target=self._thread_main,
-                                        name="gateway-loop", daemon=True)
+        self._listener = _listen(self.host, self.port)
+        self._listener.settimeout(ACCEPT_POLL_S)
+        self.port = self._listener.getsockname()[1]
+        self._thread = threading.Thread(target=self._serve,
+                                        name=THREAD_NAME, daemon=True)
         self._thread.start()
-        if not self._ready.wait(timeout):
-            raise RuntimeError("gateway did not bind in time")
-        if self._start_error is not None:
-            self._thread.join(timeout=5.0)
-            raise RuntimeError(
-                f"gateway failed to start: {self._start_error}")
         self.supervisor.start()
         return self
 
     def request_drain(self) -> None:
         """Begin graceful drain (signal-handler and ``drain``-op safe)."""
-        loop = self._loop
-        if loop is None or not loop.is_running():
+        self._draining = True
+        if self._thread is None:
             self._drained.set()
-            return
-        loop.call_soon_threadsafe(self._begin_drain)
 
     def wait_closed(self, timeout: float | None = None) -> bool:
         """Block until the drain sequence has fully finished."""
@@ -194,56 +192,64 @@ class Gateway:
         return False
 
     # ------------------------------------------------------------------
-    # event-loop thread
+    # accept thread
     # ------------------------------------------------------------------
-    def _thread_main(self) -> None:
+    def _serve(self) -> None:
         try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # lint: allow[broad-except] a dead loop must still release waiters
-            if not self._ready.is_set():
-                self._start_error = exc
-                self._ready.set()
+            self._accept_until_drained()
         finally:
-            # teardown runs outside the loop: these joins/blocking closes
-            # must not run on the loop thread's coroutines
-            self.supervisor.stop()
-            self._executor.shutdown(wait=True)
-            try:
-                self._final_stats = self.service.stats()
-                self._final_render = self.service.render_stats()
-            except Exception:  # lint: allow[broad-except] stats are best-effort on a service that may already be broken
-                pass
-            try:
-                self.service.close(drain=True)
-            except Exception as exc:  # lint: allow[broad-except] teardown must complete even if the service is already broken
-                print(f"gateway: service close failed: {exc}", flush=True)
-            self._drained.set()
+            self._teardown()
 
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(
-            self._handle_conn, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._ready.set()
-        async with self._server:
-            await self._server.start_serving()
-            while not self._draining:
-                await asyncio.sleep(0.05)
-            # drain: the listener stays open so late arrivals get a
-            # structured 'draining' reply (not a refused connection)
-            # while in-flight requests run to completion
-            deadline = self._loop.time() + self.drain_timeout_s
-            while self._tasks and self._loop.time() < deadline:
-                await asyncio.sleep(0.02)
-            self._server.close()
-            await self._server.wait_closed()
-        for writer in list(self._writers):
-            self._close_writer(writer)
-        await asyncio.sleep(0)   # let close callbacks run
+    def _accept_until_drained(self) -> None:
+        # during a drain the listener stays open, so late arrivals get a
+        # structured 'draining' reply (not a refused connection) while
+        # in-flight frames run to completion
+        drain_end = None
+        while True:
+            if self._draining:
+                if drain_end is None:
+                    drain_end = time.monotonic() + self.drain_timeout_s
+                with self._lock:
+                    busy = self._busy
+                if not busy or time.monotonic() >= drain_end:
+                    return
+            try:
+                sock, _ = self._listener.accept()
+            except socket.timeout:
+                continue
+            except OSError:   # aborted before accept, or out of fds
+                time.sleep(ACCEPT_POLL_S)
+                continue
+            sock.setblocking(True)   # the poll timeout is the listener's only
+            thread = threading.Thread(target=self._serve_conn, args=(sock,),
+                                      name=THREAD_NAME, daemon=True)
+            with self._lock:
+                self._conns[sock] = thread
+            thread.start()
 
-    def _begin_drain(self) -> None:
-        # loop thread only
-        self._draining = True
+    def _teardown(self) -> None:
+        # no accept runs any more, so _conns only shrinks from here
+        self._listener.close()
+        with self._lock:
+            conns = list(self._conns.items())
+        for sock, _ in conns:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)   # wakes a blocked recv
+            except OSError:
+                pass   # its own thread closed it already
+        self.supervisor.stop()
+        for _, thread in conns:
+            thread.join()   # a straggler's wait is bounded by its backstop
+        try:
+            self._final_stats = self.service.stats()
+            self._final_render = self.service.render_stats()
+        except Exception:  # lint: allow[broad-except] stats are best-effort on a service that may already be broken
+            pass
+        try:
+            self.service.close(drain=True)
+        except Exception as exc:  # lint: allow[broad-except] teardown must complete even if the service is already broken
+            print(f"gateway: service close failed: {exc}", flush=True)
+        self._drained.set()
 
     # ------------------------------------------------------------------
     # counters
@@ -263,104 +269,86 @@ class Gateway:
         return spec.action
 
     # ------------------------------------------------------------------
-    # connection handling
+    # connection threads
     # ------------------------------------------------------------------
-    def _close_writer(self, writer: asyncio.StreamWriter) -> None:
-        self._writers.discard(writer)
+    def _serve_conn(self, sock: socket.socket) -> None:
         try:
-            writer.close()
-        except Exception:  # lint: allow[broad-except] closing an already-dead transport must not kill the handler
-            pass
-
-    async def _handle_conn(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
-        self._bump("connections")
-        self._writers.add(writer)
-        wlock = asyncio.Lock()
-        try:
-            action = self._net_fault("accept")
-            if action == "close":
-                return
-            if action == "garble":
-                writer.write(wire.garble(wire.pack_frame({"op": "noise"})))
-                await writer.drain()
-                return
-            if action == "drop":
-                # blackhole: swallow everything, never answer
-                while await reader.read(1 << 16):
-                    pass
-                return
-            if action == "delay":
-                await asyncio.sleep(faults.NET_DELAY_SECONDS)
-            if self._draining:
-                await self._send_reply(
-                    writer, wlock, "reject",
-                    {"id": None, "ok": False,
-                     "error": DrainingError(
-                         "gateway is draining").to_entry()["error"]})
-                return
-            await self._conn_loop(reader, writer, wlock)
+            self._converse(sock)
+        except OSError:
+            pass   # peer went away (or the drain shut the socket)
         finally:
-            self._close_writer(writer)
+            with self._lock:
+                del self._conns[sock]
+            sock.close()
 
-    async def _conn_loop(self, reader, writer, wlock) -> None:
+    def _converse(self, sock: socket.socket) -> None:
+        self._bump("connections")
+        action = self._net_fault("accept")
+        if action == "close":
+            return
+        if action == "garble":
+            sock.sendall(wire.garble(wire.pack_frame({"op": "noise"})))
+            return
+        if action == "drop":
+            # blackhole: swallow everything, never answer
+            while sock.recv(1 << 16):
+                pass
+            return
+        if action == "delay":
+            time.sleep(faults.NET_DELAY_SECONDS)
+        if self._draining:
+            self._reject(sock, DrainingError("gateway is draining"))
+            return
         while True:
             try:
-                header = await reader.readexactly(4)
-                payload = await reader.readexactly(
-                    wire.frame_length(header))
-                msg = wire.unpack_frame(payload)
-            except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                return   # peer went away between frames: normal close
+                msg = wire.recv_frame(sock)
             except wire.FrameError as exc:
-                await self._send_reply(
-                    writer, wlock, "reject",
-                    {"id": None, "ok": False,
-                     "error": BadRequestError(str(exc)).to_entry()["error"]})
+                self._reject(sock, BadRequestError(str(exc)))
                 return   # stream may be desynchronised: drop the conn
-            self._bump("frames")
-            op = msg.get("op")
-            action = self._net_fault(f"frame/{op}")
-            if action == "drop":
-                continue        # the network ate the request silently
-            if action == "close":
-                return
-            if action == "garble":
-                # a corrupt inbound frame cannot be matched to a request
-                await self._send_reply(
-                    writer, wlock, "reject",
-                    {"id": None, "ok": False,
-                     "error": BadRequestError(
-                         "garbled frame").to_entry()["error"]})
-                return
-            t_recv = time.monotonic()
-            if action == "delay":
-                await asyncio.sleep(faults.NET_DELAY_SECONDS)
-            task = asyncio.ensure_future(
-                self._serve_frame(writer, wlock, msg, op, t_recv))
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
+            with self._lock:
+                self._busy += 1
+            try:
+                if not self._serve_frame(sock, msg):
+                    return
+            finally:
+                with self._lock:
+                    self._busy -= 1
+
+    def _reject(self, sock, exc: ServeError) -> None:
+        self._send_reply(sock, "reject", {"id": None, "ok": False,
+                                          "error": exc.to_entry()["error"]})
 
     # ------------------------------------------------------------------
     # frame dispatch
     # ------------------------------------------------------------------
-    async def _serve_frame(self, writer, wlock, msg: dict, op,
-                           t_recv: float) -> None:
+    def _serve_frame(self, sock, msg: dict) -> bool:
+        """Answer one frame; False when the connection must close."""
+        self._bump("frames")
+        op = msg.get("op")
+        action = self._net_fault(f"frame/{op}")
+        if action == "drop":
+            return True         # the network ate the request silently
+        if action == "close":
+            return False
+        if action == "garble":
+            # a corrupt inbound frame cannot be matched to a request
+            self._reject(sock, BadRequestError("garbled frame"))
+            return False
+        t_recv = time.monotonic()
+        if action == "delay":
+            time.sleep(faults.NET_DELAY_SECONDS)
         req_id = msg.get("id")
         try:
             if op == "infer":
-                result, latency_ms = await self._op_infer(msg, t_recv)
+                result, latency_ms = self._op_infer(msg, t_recv)
                 reply = {"id": req_id, "ok": True, "result": result,
                          "latency_ms": latency_ms}
             elif op == "stats":
-                loop = asyncio.get_running_loop()
-                stats = await loop.run_in_executor(self._executor,
-                                                   self.stats)
-                reply = {"id": req_id, "ok": True, "stats": stats}
+                reply = {"id": req_id, "ok": True, "stats": self.stats()}
             elif op == "health":
                 reply = {"id": req_id, "ok": True, "health": self.health()}
             elif op == "drain":
-                self._begin_drain()
+                self.request_drain()
                 reply = {"id": req_id, "ok": True, "draining": True}
             else:
                 raise BadRequestError(f"unknown op {op!r}")
@@ -376,9 +364,10 @@ class Gateway:
         else:
             if op == "infer":
                 self._bump("infer_ok")
-        await self._send_reply(writer, wlock, op, reply)
+        self._send_reply(sock, op, reply)
+        return True
 
-    async def _op_infer(self, msg: dict, t_recv: float):
+    def _op_infer(self, msg: dict, t_recv: float):
         model = msg.get("model")
         inputs = msg.get("inputs")
         fmt = msg.get("fmt", "MERSIT(8,2)")
@@ -422,16 +411,15 @@ class Gateway:
                     if deadline_ms <= 0:
                         raise DeadlineExceededError(
                             "deadline budget exhausted in transit")
-                timeout_s = self.request_timeout_s
+                timeout_s = REQUEST_TIMEOUT_S
                 if deadline_ms is not None:
                     timeout_s = min(timeout_s,
                                     deadline_ms / 1e3 + DEADLINE_GRACE_S)
-                loop = asyncio.get_running_loop()
                 t0 = time.monotonic()
+                fut = self.service.submit(model, inputs, fmt, mode,
+                                          deadline_ms=deadline_ms)
                 try:
-                    result = await loop.run_in_executor(
-                        self._executor, self._submit_and_wait,
-                        model, inputs, fmt, mode, deadline_ms, timeout_s)
+                    result = fut.result(timeout_s)
                 except FutureTimeoutError:   # builtin TimeoutError only from 3.11
                     raise GatewayTimeoutError(
                         f"no service reply within {timeout_s:.1f}s "
@@ -445,17 +433,10 @@ class Gateway:
             with self._lock:
                 self._inflight -= 1
 
-    def _submit_and_wait(self, model, inputs, fmt, mode, deadline_ms,
-                         timeout_s):
-        # executor thread: the blocking half of one request
-        fut = self.service.submit(model, inputs, fmt, mode,
-                                  deadline_ms=deadline_ms)
-        return fut.result(timeout_s)
-
     # ------------------------------------------------------------------
     # replies
     # ------------------------------------------------------------------
-    async def _send_reply(self, writer, wlock, op, reply: dict) -> None:
+    def _send_reply(self, sock, op, reply: dict) -> None:
         try:
             frame = wire.pack_frame(reply)
         except wire.FrameError as exc:   # oversized result: degrade structurally
@@ -466,18 +447,13 @@ class Gateway:
         if action == "drop":
             return              # the network ate the reply
         if action == "close":
-            self._close_writer(writer)
+            sock.shutdown(socket.SHUT_RDWR)   # the next read sees EOF
             return
         if action == "delay":
-            await asyncio.sleep(faults.NET_DELAY_SECONDS)
+            time.sleep(faults.NET_DELAY_SECONDS)
         if action == "garble":
             frame = frame[:4] + wire.garble(frame[4:])
-        try:
-            async with wlock:
-                writer.write(frame)
-                await writer.drain()
-        except (ConnectionError, OSError):
-            pass                # peer vanished: nothing left to tell it
+        sock.sendall(frame)
 
     # ------------------------------------------------------------------
     # observability

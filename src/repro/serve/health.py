@@ -5,7 +5,7 @@ requests just never come back (until the router's deadline sweep expires
 them one by one).  The supervisor makes that failure mode active: a
 probe loop calls the backend's :meth:`~repro.serve.Backend.ping` on a
 fixed interval, tracks consecutive missed probes per slot, and — once a
-slot has been unreachable ``escalate_after`` times in a row — escalates
+slot has been unreachable :data:`ESCALATE_AFTER` times in a row — escalates
 to :meth:`~repro.serve.Backend.force_respawn` (on a
 :class:`~repro.serve.ShardRouter`, a SIGKILL of the worker, whose
 pipe-EOF the router's collector already knows how to revive).  Recovery
@@ -24,6 +24,10 @@ healthy) or ``degraded`` (at least one slot failing probes); the gateway
 overlays ``draining`` during shutdown.  This is what the wire ``health``
 op returns to clients, so an external balancer can stop routing to a
 degraded gateway before requests start dying.
+
+The policy is three module constants (:data:`PROBE_INTERVAL_S`,
+:data:`PROBE_TIMEOUT_S`, :data:`ESCALATE_AFTER`), read at each use; the
+gateway is the only code that builds a supervisor.
 """
 
 from __future__ import annotations
@@ -33,17 +37,21 @@ import threading
 __all__ = ["HealthSupervisor"]
 
 
+#: seconds between background probes
+PROBE_INTERVAL_S = 0.5
+
+#: how long one probe waits for each slot's ``ping`` reply
+PROBE_TIMEOUT_S = 2.0
+
+#: consecutive missed probes that escalate a slot to a forced respawn
+ESCALATE_AFTER = 3
+
+
 class HealthSupervisor:
     """Probe loop + escalation policy over one serving backend."""
 
-    def __init__(self, service, *, interval_s: float = 0.5,
-                 probe_timeout_s: float = 2.0, escalate_after: int = 3):
-        if escalate_after < 1:
-            raise ValueError("escalate_after must be >= 1")
+    def __init__(self, service):
         self.service = service
-        self.interval_s = interval_s
-        self.probe_timeout_s = probe_timeout_s
-        self.escalate_after = escalate_after
         self._lock = threading.Lock()
         self._misses: dict[int, int] = {}
         self._forced: dict[int, int] = {}
@@ -65,7 +73,7 @@ class HealthSupervisor:
 
     # -- probe loop ------------------------------------------------------
     def _run(self) -> None:
-        while not self._stop.wait(self.interval_s):
+        while not self._stop.wait(PROBE_INTERVAL_S):
             self.probe_once()
 
     def probe_once(self) -> list[bool]:
@@ -74,7 +82,7 @@ class HealthSupervisor:
         Exposed for deterministic tests (drive the loop by hand instead
         of sleeping through intervals).
         """
-        healthy = self.service.ping(timeout=self.probe_timeout_s)
+        healthy = self.service.ping(timeout=PROBE_TIMEOUT_S)
         escalate: list[int] = []
         with self._lock:
             self._probes += 1
@@ -83,13 +91,13 @@ class HealthSupervisor:
                     self._misses[slot] = 0
                     continue
                 self._misses[slot] = self._misses.get(slot, 0) + 1
-                if self._misses[slot] >= self.escalate_after:
+                if self._misses[slot] >= ESCALATE_AFTER:
                     self._misses[slot] = 0
                     self._forced[slot] = self._forced.get(slot, 0) + 1
                     escalate.append(slot)
         for slot in escalate:
             print(f"gateway health: shard {slot} missed "
-                  f"{self.escalate_after} probes; forcing respawn",
+                  f"{ESCALATE_AFTER} probes; forcing respawn",
                   flush=True)
             self.service.force_respawn(slot)
         return healthy

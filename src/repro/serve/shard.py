@@ -25,14 +25,18 @@ scheduler included) behind one duplex pipe.  The pieces:
   corrupt or stale segment demotes to local recalibration with a
   one-line warning, never a crash.
 * **Exactly-once replies** — every request holds a router-side pending
-  record keyed by a sequence number.  A reply retires the record;
-  replies for unknown sequence numbers (a duplicate after respawn
-  redispatch, a straggler after deadline expiry) are dropped.  On
-  worker death the router redispatches only the still-pending,
-  still-live requests for that slot — a request whose reply was already
-  collected is never re-executed, and a redispatched request's injected
-  fault action is *not* re-shipped (parent-fired fault budgets are
-  consumed once).
+  record keyed by a sequence number.  A worker replies from the
+  request's future completion callback, in completion order, so one
+  slow request never holds back another's reply.  A reply retires the
+  record; replies for unknown sequence numbers (a duplicate after
+  respawn redispatch, a straggler after deadline expiry) are dropped.
+  The router's sweep retires what a hung worker never answers: past
+  its deadline plus :data:`SWEEP_GRACE_S`, or, with no deadline, after
+  :data:`WORKER_RESULT_TIMEOUT_S` as a lost request.  On worker death
+  the router redispatches only the still-pending, still-live requests
+  for that slot — a request whose reply was already collected is never
+  re-executed, and a redispatched request's injected fault action is
+  *not* re-shipped (parent-fired fault budgets are consumed once).
 
 **The differential guarantee, sharded.**  A sharded result is
 byte-identical to serial single-sample inference in the parent process,
@@ -67,10 +71,8 @@ from __future__ import annotations
 import bisect
 import hashlib
 import itertools
-import json
 import multiprocessing
 import os
-import queue
 import signal
 import threading
 import time
@@ -98,8 +100,8 @@ __all__ = ["HashRing", "ShardRouter"]
 #: hung) worker before expiring the pending record itself
 SWEEP_GRACE_S = 1.0
 
-#: how long a worker's shipper thread waits on one scheduler future
-#: before declaring the request lost inside the worker
+#: how long the router waits on a deadline-less request before its sweep
+#: declares the request lost inside the worker
 WORKER_RESULT_TIMEOUT_S = 300.0
 
 #: how long a new router waits for each shard's ``ready`` reply
@@ -168,7 +170,6 @@ def _release_state(state: dict) -> None:
     release the repository (plane views), then close the segments.
     """
     service, state["service"] = state["service"], None
-    state["token"] = None
     if service is not None:
         service.close(drain=False)
     kernels.clear_kernel_cache()
@@ -181,18 +182,10 @@ def _release_state(state: dict) -> None:
     state["segments"] = []
 
 
-def _init_service(state: dict, cfg: dict) -> tuple[str | None, dict]:
-    """(Re)build the worker's service from a router config; returns
-    ``(error_or_None, info)`` for the ``ready`` reply.
-
-    An unchanged config reuses the live service — the warm-pool win: a
-    second router run with identical state pays zero rebuild cost.
+def _init_service(state: dict, cfg: dict) -> str | None:
+    """Build the worker's service from a router config, releasing any
+    previous one; returns the ``ready`` reply's error, or None.
     """
-    token = json.dumps(cfg, sort_keys=True, default=repr)
-    if state["service"] is not None and token == state["token"]:
-        repo = state["service"].repository
-        return None, {"pid": os.getpid(), "reused": True,
-                      "shm_attaches": repo.shm_attaches}
     if state["service"] is not None:
         _release_state(state)
     try:
@@ -211,10 +204,9 @@ def _init_service(state: dict, cfg: dict) -> tuple[str | None, dict]:
             **cfg.get("repository", {}))
         state["service"] = InferenceService(
             repository, BatchPolicy(**cfg.get("policy", {})))
-        state["token"] = token
     except Exception as exc:  # lint: allow[broad-except] init failures ship to the router as a structured ready error
-        return f"{type(exc).__name__}: {exc}", {"pid": os.getpid()}
-    return None, {"pid": os.getpid(), "reused": False}
+        return f"{type(exc).__name__}: {exc}"
+    return None
 
 
 def _shard_worker_main(conn) -> None:
@@ -223,18 +215,18 @@ def _shard_worker_main(conn) -> None:
     Messages from the router: ``("init", cfg)``, ``("req", seq, model,
     fmt, mode, inputs, deadline_ms, backend, fault_action, fault_env)``,
     ``("stats", seq)``, ``("ping", seq)``, ``("stop",)``.  Replies:
-    ``("ready", error, info)`` and ``("res", seq, status, payload)`` with
+    ``("ready", error)`` and ``("res", seq, status, payload)`` with
     status ``ok`` or ``err``.  Every ``req``, ``stats`` and ``ping``
     produces exactly one ``res`` (admission errors reply immediately;
-    accepted requests reply from the shipper thread when their future
-    completes).  A ``ping`` is answered here, in the main loop, with
-    whether a service is initialised — it never touches the metrics.
-    SIGINT is ignored — on Ctrl-C the router's process owns teardown.
+    an accepted request replies from its future's completion callback,
+    so one slow request never holds back another's reply).  A ``ping``
+    is answered here, in the main loop, with whether a service is
+    initialised — it never touches the metrics.  SIGINT is ignored — on
+    Ctrl-C the router's process owns teardown.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    state: dict = {"service": None, "token": None, "segments": []}
+    state: dict = {"service": None, "segments": []}
     send_lock = threading.Lock()
-    ship_q: queue.Queue = queue.Queue()
 
     def _send(msg) -> None:
         with send_lock:
@@ -244,28 +236,28 @@ def _shard_worker_main(conn) -> None:
             except (OSError, ValueError):  # router gone; nothing to do
                 pass
 
-    def _shipper() -> None:
-        # FIFO over accepted requests: replies leave in submission order,
-        # matched router-side by sequence number regardless
-        while True:
-            item = ship_q.get()
-            if item is None:
-                return
-            seq, fut = item
-            try:
-                value = fut.result(timeout=WORKER_RESULT_TIMEOUT_S)
-            except ServeError as exc:
-                _send(("res", seq, "err", exc.to_entry()))
-            except Exception as exc:  # lint: allow[broad-except] any scheduler failure must still produce the one reply
-                err = WorkerCrashError(
-                    f"shard worker lost the request: "
-                    f"{type(exc).__name__}: {exc}")
-                _send(("res", seq, "err", err.to_entry()))
-            else:
-                _send(("res", seq, "ok", value))
+    def _reply(seq: int, fut) -> None:
+        # Completion callback.  It runs on the thread that completes
+        # ``fut``: a scheduler worker after its batch, or a thread that
+        # holds the scheduler's lock while it expires a deadline or fails
+        # the queue in close(drain=False).  A reply sent under that lock
+        # cannot deadlock against the router: conn.send blocks only
+        # while the pipe buffer is full, and the router's collector, the
+        # pipe's only reader, drains it without waiting on this process
+        # (its own writes here, like every router write, are bounded by
+        # the slot's admission window).  No thread waits for the
+        # scheduler's lock while holding send_lock, so the two locks
+        # cannot invert.
+        exc = fut.exception()
+        if exc is None:
+            _send(("res", seq, "ok", fut.result()))
+        elif isinstance(exc, ServeError):
+            _send(("res", seq, "err", exc.to_entry()))
+        else:
+            err = WorkerCrashError(f"shard worker lost the request: "
+                                   f"{type(exc).__name__}: {exc}")
+            _send(("res", seq, "err", err.to_entry()))
 
-    threading.Thread(target=_shipper, name="shard-shipper",
-                     daemon=True).start()
     while True:
         try:
             msg = conn.recv()
@@ -275,8 +267,7 @@ def _shard_worker_main(conn) -> None:
         if kind == "stop":
             break
         if kind == "init":
-            error, info = _init_service(state, msg[1])
-            _send(("ready", error, info))
+            _send(("ready", _init_service(state, msg[1])))
             continue
         if kind == "ping":
             _send(("res", msg[1], "ok", state["service"] is not None))
@@ -315,8 +306,7 @@ def _shard_worker_main(conn) -> None:
                 f"shard submit failed: {type(exc).__name__}: {exc}")
             _send(("res", seq, "err", err.to_entry()))
         else:
-            ship_q.put((seq, fut))
-    ship_q.put(None)
+            fut.add_done_callback(lambda f, seq=seq: _reply(seq, f))
     _release_state(state)
 
 
@@ -546,18 +536,30 @@ class ShardRouter(Backend):
                 self.metrics.on_fail()
 
     def _sweep(self) -> None:
-        """Expire pendings a hung worker never answered (deadline + grace)."""
+        """Retire requests a hung worker never answered.
+
+        A request with a deadline expires at deadline + grace; one
+        without fails as lost after :data:`WORKER_RESULT_TIMEOUT_S`.
+        """
         now = time.monotonic()
         with self._lock:
             expired = [p for p in self._pending.values()
                        if p.kind == "req" and p.deadline is not None
                        and now > p.deadline + SWEEP_GRACE_S]
-            for p in expired:
+            lost = [p for p in self._pending.values()
+                    if p.kind == "req" and p.deadline is None
+                    and now > p.t_submit + WORKER_RESULT_TIMEOUT_S]
+            for p in expired + lost:
                 del self._pending[p.seq]
         for p in expired:
             p.future.set_exception(DeadlineExceededError(
                 "deadline expired with no reply from the shard worker"))
             self.metrics.on_expire()
+        for p in lost:
+            p.future.set_exception(WorkerCrashError(
+                f"shard worker lost the request: no reply within "
+                f"{WORKER_RESULT_TIMEOUT_S:g}s"))
+            self.metrics.on_fail()
 
     def _revive(self, slot: int, dead_conn) -> None:
         """Respawn a dead shard in its slot and redispatch its pendings."""
@@ -715,7 +717,7 @@ class ShardRouter(Backend):
         still pending afterwards fails with a structured
         :class:`ServiceClosedError`.  The leased worker processes are
         *not* killed — they stay in the persistent pool for the next
-        router (an unchanged config reuses their services outright).
+        router, which re-initialises them.
         """
         with self._lock:
             self._closed = True

@@ -155,9 +155,10 @@ def test_overloaded_is_retryable_and_succeeds_after_window_frees(gated_backend):
         t.join(timeout=10)
 
 
-def test_gateway_timeout_backstop_is_structured(gated_backend):
+def test_gateway_timeout_backstop_is_structured(monkeypatch, gated_backend):
+    monkeypatch.setattr("repro.serve.gateway.REQUEST_TIMEOUT_S", 0.3)
     stub = gated_backend   # never completes until closed
-    with Gateway(stub, port=0, request_timeout_s=0.3).start() as gw:
+    with Gateway(stub, port=0).start() as gw:
         with GatewayClient(gw.host, gw.port, seed=7, retries=0) as client:
             with pytest.raises(GatewayTimeoutError):
                 client.infer("stub", np.zeros(1, np.float32))
@@ -192,3 +193,26 @@ def test_client_total_deadline_covers_retries(monkeypatch):
             with pytest.raises(DeadlineExceededError):
                 client.infer("micro-mlp", x, deadline_ms=1000)
             assert time.monotonic() - t0 < 10, "deadline must bound retries"
+
+
+def test_server_side_codec_runs_on_gateway_loop_threads(monkeypatch):
+    """Every frame the gateway encodes or decodes is handled on a thread
+    named ``gateway-loop``: profilers attribute wire-codec time to the
+    gateway by that thread name."""
+    calls = []
+    for name in ("pack_frame", "unpack_frame"):
+        def spy(*args, _orig=getattr(wire, name), _name=name, **kwargs):
+            calls.append((_name, threading.current_thread()))
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(wire, name, spy)
+    with Gateway(_service(), port=0).start() as gw, \
+            GatewayClient(gw.host, gw.port, seed=10) as client:
+        client.infer("micro-mlp", micro_specs()["micro-mlp"].requests(
+            1, seed=0)[0])
+        client.stats()
+        client.health()
+    server = [(name, thread.name) for name, thread in calls
+              if thread is not threading.current_thread()]
+    assert sorted(name for name, _ in server) == \
+        ["pack_frame"] * 3 + ["unpack_frame"] * 3
+    assert {thread for _, thread in server} == {"gateway-loop"}, server

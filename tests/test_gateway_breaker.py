@@ -130,8 +130,9 @@ def test_breaker_opens_per_key_and_probe_recloses_after_revive(monkeypatch):
                            queue_depth=64, workers=2),
         preheat=[("micro-mlp", "MERSIT(8,2)", "fakequant"),
                  ("micro-cnn", "MERSIT(8,2)", "fakequant")])
-    with Gateway(router, port=0, breaker_threshold=2,
-                 breaker_cooldown_s=0.5).start() as gw:
+    monkeypatch.setattr("repro.serve.gateway.BREAKER_THRESHOLD", 2)
+    monkeypatch.setattr("repro.serve.gateway.BREAKER_COOLDOWN_S", 0.5)
+    with Gateway(router, port=0).start() as gw:
         with GatewayClient(gw.host, gw.port, seed=0, retries=0) as client:
             mlp_x = micro_specs()["micro-mlp"].requests(1, seed=3)[0]
             cnn_x = micro_specs()["micro-cnn"].requests(1, seed=3)[0]

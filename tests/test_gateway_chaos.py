@@ -74,9 +74,10 @@ def test_net_storm_plus_worker_murder_keeps_exactly_once(monkeypatch):
     outcomes: dict[tuple[int, int], tuple[str, object]] = {}
     lock = threading.Lock()
 
-    # breaker_threshold above the armed crash budget: this test is about
+    # breaker threshold above the armed crash budget: this test is about
     # the storm's exactly-once guarantee, not breaker tripping
-    gw = Gateway(router, port=0, breaker_threshold=32).start()
+    monkeypatch.setattr("repro.serve.gateway.BREAKER_THRESHOLD", 32)
+    gw = Gateway(router, port=0).start()
     t0 = time.monotonic()
 
     def run_client(tid: int) -> None:
@@ -142,11 +143,13 @@ def test_health_supervisor_escalates_hung_shard_to_respawn(monkeypatch):
         preheat=[("micro-mlp", "MERSIT(8,2)", "fakequant")])
     x = micro_specs()["micro-mlp"].requests(1, seed=23)[0]
     ref = router.infer_serial("micro-mlp", x)
-    # probe_interval_s is huge: the test drives probes by hand so the
+    # the probe interval is huge: the test drives probes by hand so the
     # escalation count is deterministic, not timing-dependent
-    with Gateway(router, port=0, probe_interval_s=600.0,
-                 probe_timeout_s=0.5, escalate_after=2,
-                 breaker_threshold=32).start() as gw:
+    monkeypatch.setattr("repro.serve.health.PROBE_INTERVAL_S", 600.0)
+    monkeypatch.setattr("repro.serve.health.PROBE_TIMEOUT_S", 0.5)
+    monkeypatch.setattr("repro.serve.health.ESCALATE_AFTER", 2)
+    monkeypatch.setattr("repro.serve.gateway.BREAKER_THRESHOLD", 32)
+    with Gateway(router, port=0).start() as gw:
         fut = router.submit("micro-mlp", x)   # wedges one worker
         deadline = time.monotonic() + 10
         while all(router.ping(timeout=0.3)):

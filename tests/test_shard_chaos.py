@@ -15,8 +15,9 @@ through the same ``REPRO_FAULTS`` grammar as the grid chaos suite:
 
 Invariants checked: **exactly one** structured outcome per request (a
 value or a ServeError — no hangs, no duplicates), respawned shards keep
-serving, post-storm results are byte-identical to serial inference, and
-a hung worker leaks no router-side records.
+serving, post-storm results are byte-identical to serial inference, a
+hung worker leaks no router-side records, and a request hung in one
+scheduler thread holds back no other request's reply.
 """
 
 import numpy as np
@@ -166,3 +167,31 @@ def test_hung_worker_leaks_no_stats_asks(monkeypatch):
     with pytest.raises(ServiceClosedError):
         fut.result(5)
     assert router.metrics.snapshot()["failed"] == 1
+
+
+def test_hung_request_holds_back_no_other_reply(monkeypatch):
+    """A request wedged in one scheduler thread must not delay a reply
+    that another thread finished; the router's sweep then fails the
+    wedged request once, as lost, after ``WORKER_RESULT_TIMEOUT_S``."""
+    monkeypatch.setenv(faults.ENV_VAR, f"serve:batch/{KEY}:hang:1")
+    # POLICY runs two scheduler threads: the cnn batch runs beside the
+    # hung mlp batch
+    router = _router(shards=1,
+                     preheat=[("micro-mlp", "MERSIT(8,2)", "fakequant"),
+                              ("micro-cnn", "MERSIT(8,2)", "fakequant")])
+    try:
+        mlp_x = micro_specs()["micro-mlp"].requests(1, seed=31)[0]
+        cnn_x = micro_specs()["micro-cnn"].requests(1, seed=31)[0]
+        hung = router.submit("micro-mlp", mlp_x, "MERSIT(8,2)")
+        cnn = router.submit("micro-cnn", cnn_x, "MERSIT(8,2)")
+        np.testing.assert_array_equal(
+            router.infer_serial("micro-cnn", cnn_x, "MERSIT(8,2)"),
+            cnn.result(5))
+        # patched after the workers forked: only the router's sweep reads it
+        monkeypatch.setattr("repro.serve.shard.WORKER_RESULT_TIMEOUT_S", 1.0)
+        with pytest.raises(WorkerCrashError):
+            hung.result(30)
+        assert router._pending == {}
+        assert router.metrics.snapshot()["failed"] == 1
+    finally:
+        router.close()
